@@ -6,29 +6,9 @@ angles from 2x2 effective blocks measured (two expectation values per cycle)
 on a simulated statevector device.
 """
 
-from .fcidump import FCIDumpData, FCIDumpError, emit_fcidump, parse_fcidump
-from .fermion import (FermionGenerator, FermionOperator, apply_key_to_det,
-                      bch_fermionic_term, bch_transform, classify_indices,
-                      commutator, excitation_rank, multiply, normal_order)
-from .hamiltonian import MolecularProblem, build_hamiltonian, count_terms, hf_energy
-from .jordan_wigner import jordan_wigner, jw_generator
-from .pauli import (PauliGenerator, PauliOperator, bch_pauli_term,
-                    bch_transform_pauli, pauli_label, pauli_multiply,
-                    pauli_weight, paulis_commute)
-from .fci import DeterminantBasis, dense_matrix, enumerate_determinants, fci_ground_state, ground_state
-from .statevector import (Circuit, GivensStep, StatevectorBackend,
-                          apply_circuit, apply_fermionic_rotation,
-                          apply_pauli_rotation, expectation_exact,
-                          expectation_sampled, fidelity, prepare_determinant)
-from .cumulant import cumulant_decompose
-from .jacobi import (EffectiveBlock, ResidualVector, RunConfig, TruncationPolicy,
-                     classical_residual, estimate_cnot_count,
-                     generator_from_determinant, measure_block, merge_step,
-                     run_quantum_jacobi, select_deterministic,
-                     select_stochastic, solve_givens, transform_hamiltonian,
-                     truncate)
-from .diagnostics import (WeightDistribution, participation_ratio,
-                          shannon_entropy, topk_mass)
-from .trace import CycleRecord, RunTrace, read_trace_jsonl, write_summary_csv
+from .fcidump import parse_fcidump
+from .hamiltonian import build_hamiltonian
+from .fci import fci_ground_state
+from .jacobi import RunConfig, run_quantum_jacobi
 
 __version__ = "0.1.0"

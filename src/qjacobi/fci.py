@@ -1,7 +1,8 @@
 """Brute-force ground truth: determinant bases, dense matrices, exact eigensolve.
 
-Matrix elements are produced by the same sparse operator action used by the
-residual engine, so the two code paths validate each other.
+Matrix elements come from the operators' own ``act``, the sparse
+per-determinant action the residual engine uses too, so the two code paths
+validate each other.
 """
 
 from __future__ import annotations
@@ -10,9 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fermion import FermionOperator, apply_key_to_det
 from .hamiltonian import MolecularProblem
-from .pauli import PauliOperator, pauli_action_on_det
 
 _HERM_TOL = 1e-10
 
@@ -71,27 +70,11 @@ def dense_matrix(op, n_qubits: int, basis: DeterminantBasis | None = None) -> np
         index = basis.index
         dim = len(basis)
     mat = np.zeros((dim, dim), dtype=complex)
-    if isinstance(op, FermionOperator):
-        for j, d in enumerate(dets):
-            for key, coeff in op.terms.items():
-                res = apply_key_to_det(key, d)
-                if res is None:
-                    continue
-                sign, d2 = res
-                i = d2 if index is None else index.get(d2)
-                if i is not None:
-                    mat[i, j] += coeff * sign
-        if op.constant:
-            mat += op.constant * np.eye(dim)
-    elif isinstance(op, PauliOperator):
-        for j, d in enumerate(dets):
-            for key, coeff in op.terms.items():
-                phase, d2 = pauli_action_on_det(key, d)
-                i = d2 if index is None else index.get(d2)
-                if i is not None:
-                    mat[i, j] += coeff * phase
-    else:
-        raise TypeError(f"unsupported operator type {type(op).__name__}")
+    for j, d in enumerate(dets):
+        for d2, value in op.act(d).items():
+            i = d2 if index is None else index.get(d2)
+            if i is not None:
+                mat[i, j] = value
     return mat
 
 

@@ -17,7 +17,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 ZERO_FLOOR = 1e-14
 
@@ -195,9 +195,6 @@ class FermionOperator:
             self.constant = 0.0
         return self
 
-    def hermitian_conjugate(self) -> "FermionOperator":
-        return FermionOperator({conjugate_key(k): c for k, c in self.terms.items()}, self.constant)
-
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         for k, c in self.terms.items():
             if abs(c - self.terms.get(conjugate_key(k), 0.0)) > tol:
@@ -207,11 +204,19 @@ class FermionOperator:
     def max_rank(self) -> int:
         return max((len(k[0]) for k in self.terms), default=0)
 
-    def norm1(self) -> float:
-        return sum(abs(c) for c in self.terms.values())
+    def act(self, det: int) -> dict[int, float]:
+        """Sparse action on one determinant: {det': <det'|op|det>}.
 
-    def items(self) -> Iterator[tuple[Key, float]]:
-        return iter(self.terms.items())
+        The constant is entered at ``det`` first, then every term adds its
+        signed coefficient in term order.
+        """
+        out = {det: self.constant}
+        for key, coeff in self.terms.items():
+            res = apply_key_to_det(key, det)
+            if res is not None:
+                sign, d2 = res
+                out[d2] = out.get(d2, 0.0) + coeff * sign
+        return out
 
     def __repr__(self) -> str:
         return f"FermionOperator({self.term_count()} terms, constant={self.constant:+.6g})"
@@ -371,10 +376,6 @@ def _gen_cache(gen: FermionGenerator) -> dict:
     return cache
 
 
-def clear_bch_caches():
-    _GEN_CACHES.clear()
-
-
 def _comm_with_gen(key: Key, cache: dict) -> tuple[tuple[Key, int], ...]:
     """[key, A] with A = sign (E_g - E_g+), integer coefficients."""
     hit = cache["comm"].get(key)
@@ -482,8 +483,3 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
     constant += out.pop(IDENTITY_KEY, 0.0)
     return FermionOperator(out, constant).pruned(floor)
 
-
-def bch_fermionic_term(key: Key, coefficient: float, gen: FermionGenerator,
-                       theta: float) -> FermionOperator:
-    """Closed-form conjugation of a single canonical term."""
-    return bch_transform(FermionOperator({key: coefficient}), gen, theta)

@@ -125,8 +125,3 @@ def _accumulate(acc: FermionOperator, piece: FermionOperator) -> FermionOperator
     for k, c in piece.terms.items():
         t[k] = t.get(k, 0.0) + c
     return acc
-
-
-def count_terms(h: FermionOperator) -> int:
-    """Stored nonzero keys, identity constant excluded."""
-    return h.term_count()

@@ -18,13 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .cumulant import cumulant_decompose
-from .fermion import (FermionGenerator, FermionOperator, apply_key_to_det,
-                      bch_transform, excitation_rank)
+from .fermion import FermionGenerator, FermionOperator, bch_transform, excitation_rank
 from .hamiltonian import MolecularProblem
 from .jordan_wigner import jordan_wigner, jw_generator
 from .pauli import (PAULI_IDENTITY, PauliGenerator, PauliOperator,
-                    bch_transform_pauli, pauli_action_on_det, pauli_label,
-                    pauli_weight)
+                    bch_transform_pauli, pauli_label, pauli_weight)
 from .statevector import Circuit, GivensStep, StatevectorBackend
 from .trace import CycleRecord, RunTrace
 
@@ -71,26 +69,6 @@ class EffectiveBlock:
     c: float
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """mode 'amplitude' drops |h| < epsilon; 'rank-aware' (fermionic only)
-    keeps every rank <= 2 term, keeps rank > 2 only at |h| >= epsilon and
-    drops rank > n_electrons outright."""
-
-    mode: str
-    epsilon: float
-    kappa: float | None = None
-    n_electrons: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("amplitude", "rank-aware"):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.kappa is not None and self.kappa < self.epsilon:
-            raise ValueError("kappa must be >= epsilon")
-
-
 @dataclass
 class RunConfig:
     """Method and thresholds for one run; see METHODS for the variants."""
@@ -105,9 +83,12 @@ class RunConfig:
     residual_floor: float = RESIDUAL_FLOOR_DEFAULT
     energy_floor: float = ENERGY_FLOOR_DEFAULT
     energy_window: int = ENERGY_WINDOW_DEFAULT
-    truncation_mode: str | None = None
 
     def validate(self) -> None:
+        for name in ("epsilon", "kappa", "merge_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.kappa is not None and self.method != "cfqj":
@@ -120,44 +101,27 @@ class RunConfig:
             raise ValueError("max_cycles must be >= 0")
         if self.method in _TRUNCATED and self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.truncation_mode == "rank-aware" and _FLAVOR[self.method] == "pauli":
-            raise ValueError("rank-aware truncation needs the fermionic basis")
+        if self.kappa is not None and self.kappa < self.epsilon:
+            raise ValueError("kappa must be >= epsilon")
 
     def effective_kappa(self) -> float | None:
         if self.method != "cfqj":
             return None
         return self.kappa if self.kappa is not None else 10.0 * self.epsilon
 
-    def policy(self, n_electrons: int) -> TruncationPolicy | None:
-        if self.method not in _TRUNCATED:
-            return None
-        mode = self.truncation_mode
-        if mode is None:
-            mode = "amplitude" if _FLAVOR[self.method] == "pauli" else "rank-aware"
-        return TruncationPolicy(mode=mode, epsilon=self.epsilon,
-                                kappa=self.effective_kappa(), n_electrons=n_electrons)
-
     def as_dict(self) -> dict:
         return asdict(self)
 
 
+def _real(value, what: str) -> float:
+    if abs(value.imag) > _IMAG_TOL:
+        raise FloatingPointError(f"{what} has imaginary residue")
+    return value.real
+
+
 def diagonal_element(h_approx, det: int) -> float:
     """<det|H|det> by sparse action; classical, linear in the term count."""
-    if isinstance(h_approx, FermionOperator):
-        acc = h_approx.constant
-        for key, coeff in h_approx.terms.items():
-            res = apply_key_to_det(key, det)
-            if res is not None and res[1] == det:
-                acc += coeff * res[0]
-        return acc
-    acc = 0.0 + 0.0j
-    for key, coeff in h_approx.terms.items():
-        phase, d2 = pauli_action_on_det(key, det)
-        if d2 == det:
-            acc += coeff * phase
-    if abs(acc.imag) > _IMAG_TOL:
-        raise FloatingPointError("diagonal element has imaginary residue")
-    return acc.real
+    return _real(h_approx.act(det).get(det, 0.0), "diagonal element")
 
 
 def classical_residual(h_approx, phi0: int) -> ResidualVector:
@@ -166,34 +130,10 @@ def classical_residual(h_approx, phi0: int) -> ResidualVector:
     Cost is linear in the number of terms.  The diagonal (Phi0) component is
     removed into ``reference_energy``.
     """
-    if isinstance(h_approx, FermionOperator):
-        acc: dict[int, float] = {}
-        for key, coeff in h_approx.terms.items():
-            res = apply_key_to_det(key, phi0)
-            if res is None:
-                continue
-            sign, d2 = res
-            acc[d2] = acc.get(d2, 0.0) + coeff * sign
-        e_ref = acc.pop(phi0, 0.0) + h_approx.constant
-        entries = {d: c for d, c in acc.items() if abs(c) > _ZERO}
-        return ResidualVector(entries, e_ref)
-    if isinstance(h_approx, PauliOperator):
-        cacc: dict[int, complex] = {}
-        for key, coeff in h_approx.terms.items():
-            phase, d2 = pauli_action_on_det(key, phi0)
-            cacc[d2] = cacc.get(d2, 0.0) + coeff * phase
-        e_ref = cacc.pop(phi0, 0.0 + 0.0j)
-        if abs(e_ref.imag) > _IMAG_TOL:
-            raise FloatingPointError("reference energy has imaginary residue")
-        entries: dict[int, float] = {}
-        for d, c in cacc.items():
-            if abs(c) <= _ZERO:
-                continue
-            if abs(c.imag) > _IMAG_TOL:
-                raise FloatingPointError("residual amplitude has imaginary residue")
-            entries[d] = c.real
-        return ResidualVector(entries, e_ref.real)
-    raise TypeError(f"unsupported operator type {type(h_approx).__name__}")
+    acc = h_approx.act(phi0)
+    e_ref = _real(acc.pop(phi0, 0.0), "reference energy")
+    entries = {d: _real(c, "residual amplitude") for d, c in acc.items() if abs(c) > _ZERO}
+    return ResidualVector(entries, e_ref)
 
 
 def select_deterministic(residual: ResidualVector) -> int:
@@ -269,29 +209,27 @@ def solve_givens(block: EffectiveBlock) -> tuple[float, float]:
     return best[2], e_next
 
 
-def truncate(h, policy: TruncationPolicy):
-    """Apply the policy; exact methods never call this."""
-    if policy.mode == "amplitude":
-        if isinstance(h, FermionOperator):
-            kept = {k: c for k, c in h.terms.items() if abs(c) >= policy.epsilon}
-            return FermionOperator(kept, h.constant)
-        kept = {k: c for k, c in h.terms.items()
-                if k == PAULI_IDENTITY or abs(c) >= policy.epsilon}
-        return PauliOperator(kept)
-    if not isinstance(h, FermionOperator):
-        raise ValueError("rank-aware truncation is defined for fermionic operators only")
+def truncate(h, epsilon: float, n_electrons: int):
+    """Drop small terms; exact methods never call this.
+
+    Pauli operators lose every string with |h| < epsilon except the identity.
+    Fermionic operators keep every rank <= 2 term, keep rank > 2 only at
+    |h| >= epsilon and lose rank > n_electrons outright.
+    """
+    if isinstance(h, PauliOperator):
+        return PauliOperator({k: c for k, c in h.terms.items()
+                              if k == PAULI_IDENTITY or abs(c) >= epsilon})
     kept = {}
     for key, coeff in h.terms.items():
         rank = excitation_rank(key)
-        if rank > policy.n_electrons:
+        if rank > n_electrons:
             continue
-        if rank <= 2 or abs(coeff) >= policy.epsilon:
+        if rank <= 2 or abs(coeff) >= epsilon:
             kept[key] = coeff
     return FermionOperator(kept, h.constant)
 
 
-def transform_hamiltonian(h_approx, gen, theta: float, policy: TruncationPolicy | None,
-                          method: str, reference: int = 0):
+def transform_hamiltonian(h_approx, gen, theta: float, config: RunConfig, reference: int):
     """Term-wise closed-form conjugation, then the method's compression.
 
     cfqj applies the cumulant screening to the freshly transformed operator
@@ -301,10 +239,10 @@ def transform_hamiltonian(h_approx, gen, theta: float, policy: TruncationPolicy 
         out = bch_transform(h_approx, gen, theta)
     else:
         out = bch_transform_pauli(h_approx, gen, theta)
-    if method == "cfqj":
-        out = cumulant_decompose(out, policy.kappa, reference)
-    if method in _TRUNCATED:
-        out = truncate(out, policy)
+    if config.method == "cfqj":
+        out = cumulant_decompose(out, config.effective_kappa(), reference)
+    if config.method in _TRUNCATED:
+        out = truncate(out, config.epsilon, reference.bit_count())
     return out
 
 
@@ -366,7 +304,6 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
         h_approx = jordan_wigner(problem.hamiltonian)
     else:
         h_approx = problem.hamiltonian.copy()
-    policy = config.policy(problem.n_electrons)
 
     seed_seq = np.random.SeedSequence(config.rng_seed)
     sel_seed, meas_seed = seed_seq.spawn(2)
@@ -399,15 +336,13 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
         if rnorm < config.residual_floor or not residual.entries:
             trace.termination = "residual_floor"
             break
-        if flavor == "pauli":
-            # The Pauli transform breaks particle number; symmetry-violating
-            # residual entries are recorded but not selectable, since their
-            # determinant pairs admit no generator.
-            selectable = ResidualVector(
-                {d: c for d, c in residual.entries.items()
-                 if d.bit_count() == n_particles}, residual.reference_energy)
-        else:
-            selectable = residual
+        # Only particle-conserving determinant pairs admit a generator.  The
+        # Pauli transform breaks particle number, so its symmetry-violating
+        # residual entries are recorded but not selectable; fermionic
+        # residuals conserve it and pass through unchanged.
+        selectable = ResidualVector(
+            {d: c for d, c in residual.entries.items()
+             if d.bit_count() == n_particles}, residual.reference_energy)
         if not selectable.entries:
             trace.termination = "selection_space_empty"
             break
@@ -431,7 +366,7 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
             raise QJRunError(str(exc), trace) from exc
         theta, e_next = solve_givens(block)
         circuit, merged = merge_step(circuit, GivensStep(gen, theta), config.merge_threshold)
-        h_approx = transform_hamiltonian(h_approx, gen, theta, policy, config.method, phi0)
+        h_approx = transform_hamiltonian(h_approx, gen, theta, config, phi0)
         previous, energy = energy, e_next
         trace.records.append(CycleRecord(
             k=k, energy=energy, phase=phase,

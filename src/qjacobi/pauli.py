@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 ZERO_FLOOR = 1e-14
 
@@ -98,20 +97,16 @@ class PauliOperator:
     def max_abs_imag(self) -> float:
         return max((abs(c.imag) for c in self.terms.values()), default=0.0)
 
-    def items(self) -> Iterator[tuple[PKey, complex]]:
-        return iter(self.terms.items())
+    def act(self, det: int) -> dict[int, complex]:
+        """Sparse action on one determinant: {det': <det'|op|det>}, term order."""
+        out: dict[int, complex] = {}
+        for key, coeff in self.terms.items():
+            phase, d2 = pauli_action_on_det(key, det)
+            out[d2] = out.get(d2, 0.0) + coeff * phase
+        return out
 
     def __repr__(self) -> str:
         return f"PauliOperator({len(self.terms)} strings)"
-
-
-def multiply_pauli_operators(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    out: dict[PKey, complex] = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            k, phase = pauli_multiply(ka, kb)
-            out[k] = out.get(k, 0.0) + ca * cb * phase
-    return PauliOperator(out).pruned()
 
 
 @dataclass(frozen=True)
@@ -147,24 +142,13 @@ class PauliGenerator:
         return cls(diff, diff & -diff)
 
 
-def bch_pauli_term(key: PKey, coefficient: complex, gen: PauliGenerator,
-                   theta: float) -> tuple[tuple[PKey, complex], ...]:
-    """Closed-form e^{-i theta P_g} P e^{i theta P_g} for one string.
+def bch_transform_pauli(op: PauliOperator, gen: PauliGenerator, theta: float,
+                        floor: float = ZERO_FLOOR) -> PauliOperator:
+    """Closed-form e^{-i theta P_g} H e^{i theta P_g}, term by term.
 
     Commuting strings pass through; anticommuting ones rotate as
     cos(2 theta) P + i sin(2 theta) P P_g.
     """
-    g = gen.key
-    if theta == 0.0 or paulis_commute(key, g):
-        return ((key, coefficient),)
-    prod, phase = pauli_multiply(key, g)
-    return ((key, coefficient * math.cos(2.0 * theta)),
-            (prod, coefficient * 1j * math.sin(2.0 * theta) * phase))
-
-
-def bch_transform_pauli(op: PauliOperator, gen: PauliGenerator, theta: float,
-                        floor: float = ZERO_FLOOR) -> PauliOperator:
-    """Exact conjugation of a whole operator, term by term."""
     if theta == 0.0:
         return op.copy()
     g = gen.key

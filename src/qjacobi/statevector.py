@@ -60,10 +60,6 @@ def prepare_determinant(n_qubits: int, det: int) -> np.ndarray:
     return state
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr)
-
-
 def apply_excitation(state: np.ndarray, key: Key) -> np.ndarray:
     """E . state for one canonical term, vectorized over determinants."""
     cre, ann = key
@@ -81,9 +77,9 @@ def apply_excitation(state: np.ndarray, key: Key) -> np.ndarray:
     target = mid | cre_mask
     par = np.zeros(src.shape, dtype=np.uint64)
     for j, q in enumerate(ann):  # prior annihilations all sit below q
-        par += _popcount(src & np.uint64((1 << q) - 1)) - np.uint64(j)
+        par += np.bitwise_count(src & np.uint64((1 << q) - 1)) - np.uint64(j)
     for p in cre:  # creations applied descending never see later ones below
-        par += _popcount(mid & np.uint64((1 << p) - 1))
+        par += np.bitwise_count(mid & np.uint64((1 << p) - 1))
     sign = 1.0 - 2.0 * (par & np.uint64(1)).astype(float)
     out = np.zeros_like(state)
     out[target.astype(np.int64)] = sign * state[src.astype(np.int64)]
@@ -97,7 +93,7 @@ def apply_pauli_string(state: np.ndarray, key) -> np.ndarray:
     idx = np.arange(dim, dtype=np.uint64)
     src = idx ^ np.uint64(x)
     phase = (1j) ** ((x & z).bit_count() & 3)
-    zpar = (_popcount(src & np.uint64(z)) & np.uint64(1)).astype(float)
+    zpar = (np.bitwise_count(src & np.uint64(z)) & np.uint64(1)).astype(float)
     return phase * (1.0 - 2.0 * zpar) * state[src.astype(np.int64)]
 
 
@@ -110,14 +106,12 @@ def apply_operator(op, state: np.ndarray) -> np.ndarray:
         if op.constant:
             acc += op.constant * state
         return acc
-    if isinstance(op, PauliOperator):
-        for key, coeff in op.terms.items():
-            if key == PAULI_IDENTITY:
-                acc += coeff * state
-            else:
-                acc += coeff * apply_pauli_string(state, key)
-        return acc
-    raise TypeError(f"unsupported operator type {type(op).__name__}")
+    for key, coeff in op.terms.items():
+        if key == PAULI_IDENTITY:
+            acc += coeff * state
+        else:
+            acc += coeff * apply_pauli_string(state, key)
+    return acc
 
 
 def _check_norm(state: np.ndarray) -> np.ndarray:
@@ -166,11 +160,6 @@ def expectation_exact(op, state: np.ndarray) -> float:
     if abs(val.imag) > _IMAG_TOL:
         raise FloatingPointError(f"expectation has imaginary residue {val.imag!r}")
     return val.real
-
-
-def sampled_term_count(op: PauliOperator) -> int:
-    """Non-identity strings, i.e. the terms that actually consume shots."""
-    return op.term_count()
 
 
 def expectation_sampled(op: PauliOperator, state: np.ndarray, shots_per_term: int,
@@ -227,8 +216,6 @@ class StatevectorBackend:
         self.expectation_count = 0
         self.shots_used = 0
         self._pauli_h: PauliOperator | None = None
-        if isinstance(hamiltonian, PauliOperator):
-            self._pauli_h = hamiltonian
 
     def pauli_hamiltonian(self) -> PauliOperator:
         if self._pauli_h is None:
@@ -248,5 +235,5 @@ class StatevectorBackend:
         if self.shots_per_term is None:
             return expectation_exact(self.hamiltonian, state)
         ph = self.pauli_hamiltonian()
-        self.shots_used += self.shots_per_term * sampled_term_count(ph)
+        self.shots_used += self.shots_per_term * ph.term_count()
         return expectation_sampled(ph, state, self.shots_per_term, self.rng)

@@ -18,12 +18,12 @@ from qjacobi.diagnostics import (WeightDistribution, participation_ratio,
                                  shannon_entropy, topk_mass)
 from qjacobi.fci import dense_matrix
 from qjacobi.fermion import (FermionGenerator, FermionOperator,
-                             bch_fermionic_term, normal_order)
+                             bch_transform, normal_order)
 from qjacobi.jacobi import (EffectiveBlock, RunConfig, diagonal_element,
                             generator_from_determinant, merge_step,
                             run_quantum_jacobi, solve_givens)
 from qjacobi.jordan_wigner import jordan_wigner
-from qjacobi.pauli import PauliGenerator, PauliOperator, bch_pauli_term
+from qjacobi.pauli import PauliGenerator, PauliOperator, bch_transform_pauli
 from qjacobi.statevector import (Circuit, GivensStep, apply_circuit,
                                  apply_fermionic_rotation, apply_step,
                                  expectation_exact, expectation_sampled,
@@ -59,7 +59,7 @@ def test_criterion_1_bch_exactness():
                     break
             theta = rng.uniform(-math.pi, math.pi)
             gen = FermionGenerator(gkey, rng.choice((1, -1)))
-            out = bch_fermionic_term(key, 1.0, gen, theta)
+            out = bch_transform(FermionOperator({key: 1.0}), gen, theta)
             a = dense_matrix(gen.operator(), n)
             e = dense_matrix(FermionOperator({key: 1.0}), n)
             ref = expm(-theta * a) @ e @ expm(theta * a)
@@ -68,7 +68,7 @@ def test_criterion_1_bch_exactness():
             pkey = (rng.getrandbits(n), rng.getrandbits(n))
             xm = rng.randint(1, 2 ** n - 1)
             pgen = PauliGenerator(xm, xm & -xm)
-            pout = PauliOperator(dict(bch_pauli_term(pkey, 1.0, pgen, theta)))
+            pout = bch_transform_pauli(PauliOperator({pkey: 1.0}), pgen, theta)
             p = dense_matrix(PauliOperator({pkey: 1.0}), n)
             g = dense_matrix(PauliOperator({pgen.key: 1.0}), n)
             pref = expm(-1j * theta * g) @ p @ expm(1j * theta * g)

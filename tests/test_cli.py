@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qjacobi.cli import batch_sweep, main
 from qjacobi.jacobi import RunConfig, run_quantum_jacobi
@@ -114,6 +115,19 @@ class TestErrors:
         code, out, err = run_cli(["run", "--fcidump", H2, "--method", "nope"])
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("qjacobi-error:")
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "pqj", "--epsilon", "nan"],
+        ["--method", "cfqj", "--epsilon", "nan"],
+        ["--method", "cfqj", "--epsilon", "1e-4", "--kappa", "nan"],
+        ["--method", "cfqj", "--epsilon", "1e-3", "--kappa", "1e-4"],
+        ["--method", "cfqj", "--epsilon", "1e-4", "--merge-threshold", "inf"],
+    ])
+    def test_bad_threshold_rejected_up_front(self, flags):
+        code, out, err = run_cli(["run", "--fcidump", H4, *flags, "--skip-fci"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("qjacobi-error: bad-flags:")
 
     def test_unreadable_file(self):
         code, out, err = run_cli(["fci", "--fcidump", "/no/such/file"])

@@ -6,10 +6,9 @@ from scipy.linalg import expm
 
 from qjacobi.fci import dense_matrix
 from qjacobi.fermion import (FermionGenerator, FermionOperator, _reorder,
-                             apply_key_to_det, bch_fermionic_term,
-                             bch_transform, classify_indices, commutator,
-                             conjugate_key, excitation_rank, key_events,
-                             multiply, normal_order, term_product)
+                             apply_key_to_det, bch_transform, classify_indices,
+                             commutator, conjugate_key, excitation_rank,
+                             key_events, multiply, normal_order, term_product)
 
 
 def op_from_terms(*pairs, constant=0.0):
@@ -205,12 +204,12 @@ class TestGenerator:
 class TestBchFermionic:
     def test_theta_zero(self):
         gen = FermionGenerator(((2,), (0,)))
-        out = bch_fermionic_term(((1,), (1,)), 0.7, gen, 0.0)
+        out = bch_transform(FermionOperator({((1,), (1,)): 0.7}), gen, 0.0)
         assert out.terms == {((1,), (1,)): 0.7}
 
     def test_disjoint_support_unchanged(self):
         gen = FermionGenerator(((3,), (2,)))
-        out = bch_fermionic_term(((1,), (0,)), 0.5, gen, 1.2)
+        out = bch_transform(FermionOperator({((1,), (0,)): 0.5}), gen, 1.2)
         assert out.terms == {((1,), (0,)): 0.5}
 
     def test_against_dense_conjugation(self):
@@ -220,7 +219,7 @@ class TestBchFermionic:
             key = random_key(rng, 4)
             gen = FermionGenerator(random_pure_excitation(rng, 4), rng.choice((1, -1)))
             theta = rng.uniform(-3.0, 3.0)
-            out = bch_fermionic_term(key, 1.0, gen, theta)
+            out = bch_transform(FermionOperator({key: 1.0}), gen, theta)
             a = dense_matrix(gen.operator(), 4)
             e = dense_matrix(op_from_terms((key, 1.0)), 4)
             ref = expm(-theta * a) @ e @ expm(theta * a)

@@ -3,7 +3,7 @@ import numpy as np
 from qjacobi.fcidump import FCIDumpData
 from qjacobi.fci import dense_matrix
 from qjacobi.fermion import FermionOperator, commutator
-from qjacobi.hamiltonian import build_hamiltonian, count_terms, hf_energy
+from qjacobi.hamiltonian import build_hamiltonian, hf_energy
 from qjacobi.jacobi import diagonal_element
 from qjacobi.statevector import expectation_exact, prepare_determinant
 
@@ -62,13 +62,13 @@ def test_spin_exchange_symmetry(h4):
 
 
 def test_count_terms_trivial():
-    assert count_terms(FermionOperator.zero()) == 0
-    assert count_terms(FermionOperator.identity(2.0)) == 0
+    assert FermionOperator.zero().term_count() == 0
+    assert FermionOperator.identity(2.0).term_count() == 0
 
 
 def test_count_terms_h4(h4):
     # records our canonical-key counting convention at desk scale
-    assert 100 <= count_terms(h4.hamiltonian) <= 1000
+    assert 100 <= h4.hamiltonian.term_count() <= 1000
 
 
 def test_hf_determinant_lowest_orbitals(h4):

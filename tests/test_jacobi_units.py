@@ -6,15 +6,15 @@ import pytest
 
 from qjacobi.fci import DeterminantBasis, dense_matrix
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
-from qjacobi.jacobi import (EffectiveBlock, ResidualVector,
-                            TruncationPolicy, classical_residual,
-                            diagonal_element, estimate_cnot_count,
+from qjacobi.jacobi import (EffectiveBlock, ResidualVector, RunConfig,
+                            classical_residual, diagonal_element,
+                            estimate_cnot_count,
                             generator_from_determinant, measure_block,
                             merge_step, select_deterministic,
                             select_stochastic, solve_givens,
                             transform_hamiltonian, truncate)
 from qjacobi.jordan_wigner import jordan_wigner
-from qjacobi.pauli import PauliGenerator, PauliOperator
+from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, StatevectorBackend,
                                  apply_circuit, apply_step, fidelity,
                                  prepare_determinant)
@@ -214,14 +214,14 @@ class TestSolveGivens:
 
 class TestTruncate:
     def test_epsilon_zero_is_identity(self, h2):
-        policy = TruncationPolicy("amplitude", 0.0, n_electrons=2)
-        out = truncate(h2.hamiltonian, policy)
+        out = truncate(h2.hamiltonian, 0.0, 2)
         assert out.terms == h2.hamiltonian.terms
 
     def test_amplitude_mode(self):
-        h = FermionOperator({((0,), (0,)): 0.5, ((1,), (1,)): 1e-6})
-        out = truncate(h, TruncationPolicy("amplitude", 1e-3, n_electrons=2))
-        assert list(out.terms) == [((0,), (0,))]
+        # the identity string is kept whatever its size
+        h = PauliOperator({PAULI_IDENTITY: 1e-6, (0, 0b01): 0.5, (0, 0b10): 1e-6})
+        out = truncate(h, 1e-3, 2)
+        assert list(out.terms) == [PAULI_IDENTITY, (0, 0b01)]
 
     def test_rank_rules(self):
         eps = 1e-3
@@ -229,7 +229,7 @@ class TestTruncate:
         rank3 = (((0, 1, 2), (0, 1, 2)))
         h = FermionOperator({rank2: eps / 2, rank3: eps / 2,
                              ((0, 1, 3), (0, 1, 3)): 2 * eps})
-        out = truncate(h, TruncationPolicy("rank-aware", eps, n_electrons=4))
+        out = truncate(h, eps, 4)
         assert rank2 in out.terms           # rank <= 2 kept unconditionally
         assert rank3 not in out.terms       # small rank-3 dropped
         assert ((0, 1, 3), (0, 1, 3)) in out.terms  # large rank-3 kept
@@ -237,24 +237,21 @@ class TestTruncate:
     def test_rank_above_electron_count_always_dropped(self):
         rank3 = ((0, 1, 2), (0, 1, 2))
         h = FermionOperator({rank3: 100.0})
-        out = truncate(h, TruncationPolicy("rank-aware", 1e-3, n_electrons=2))
+        out = truncate(h, 1e-3, 2)
         assert not out.terms
-
-    def test_rank_aware_rejected_on_pauli(self):
-        with pytest.raises(ValueError):
-            truncate(PauliOperator({(1, 0): 1.0}),
-                     TruncationPolicy("rank-aware", 1e-3, n_electrons=2))
 
 
 class TestTransformHamiltonian:
     def test_theta_zero_identity(self, h2):
         gen = FermionGenerator.from_determinants(0b0011, 0b1100)
-        out = transform_hamiltonian(h2.hamiltonian, gen, 0.0, None, "exact-bch-fermionic")
+        out = transform_hamiltonian(h2.hamiltonian, gen, 0.0,
+                                    RunConfig("exact-bch-fermionic"), h2.hf_determinant)
         assert out.terms == h2.hamiltonian.terms
 
     def test_untruncated_isospectral(self, h2):
         gen = FermionGenerator.from_determinants(0b0011, 0b1100)
-        out = transform_hamiltonian(h2.hamiltonian, gen, 0.8, None, "exact-bch-fermionic")
+        out = transform_hamiltonian(h2.hamiltonian, gen, 0.8,
+                                    RunConfig("exact-bch-fermionic"), h2.hf_determinant)
         before = np.linalg.eigvalsh(dense_matrix(h2.hamiltonian, 4))
         after = np.linalg.eigvalsh(dense_matrix(out, 4))
         assert np.max(np.abs(before - after)) < 1e-10

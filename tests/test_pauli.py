@@ -6,10 +6,9 @@ import pytest
 from scipy.linalg import expm
 
 from qjacobi.fci import dense_matrix
-from qjacobi.pauli import (PauliGenerator, PauliOperator, bch_pauli_term,
-                           bch_transform_pauli, pauli_action_on_det,
-                           pauli_label, pauli_multiply, pauli_weight,
-                           paulis_commute)
+from qjacobi.pauli import (PauliGenerator, PauliOperator, bch_transform_pauli,
+                           pauli_action_on_det, pauli_label, pauli_multiply,
+                           pauli_weight, paulis_commute)
 
 X, Y, Z, I = (1, 0), (1, 1), (0, 1), (0, 0)
 
@@ -97,7 +96,7 @@ class TestGenerator:
 class TestBchPauli:
     def test_theta_zero(self):
         gen = PauliGenerator(0b11, 0b01)
-        assert bch_pauli_term((0b10, 0b00), 0.4, gen, 0.0) == (((0b10, 0b00), 0.4),)
+        assert bch_transform_pauli(PauliOperator({(0b10, 0b00): 0.4}), gen, 0.0).terms == {(0b10, 0b00): 0.4}
 
     def test_commuting_unchanged(self):
         # Z0 commutes with Z0 Z1; transform leaves it alone for any theta
@@ -111,7 +110,7 @@ class TestBchPauli:
     def test_z_under_y_quarter_turn(self):
         # P = Z, gen = Y, theta = pi/4 -> X with the input coefficient
         gen = PauliGenerator(1, 1)
-        out = dict(bch_pauli_term(Z, 0.75, gen, math.pi / 4))
+        out = bch_transform_pauli(PauliOperator({Z: 0.75}), gen, math.pi / 4).terms
         assert abs(out.get(X, 0.0) - 0.75) < 1e-12
         assert abs(out.get(Z, 0.0)) < 1e-12
 
@@ -124,7 +123,7 @@ class TestBchPauli:
             xm = rng.randint(1, 2 ** n - 1)
             gen = PauliGenerator(xm, xm & -xm)
             theta = rng.uniform(-3.0, 3.0)
-            out = PauliOperator(dict(bch_pauli_term(key, 1.0, gen, theta)))
+            out = bch_transform_pauli(PauliOperator({key: 1.0}), gen, theta)
             p = dense_matrix(PauliOperator({key: 1.0}), n)
             g = dense_matrix(PauliOperator({gen.key: 1.0}), n)
             ref = expm(-1j * theta * g) @ p @ expm(1j * theta * g)

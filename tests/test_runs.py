@@ -196,10 +196,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(method="vqe").validate()
 
-    def test_rank_aware_rejected_for_pauli_methods(self):
-        with pytest.raises(ValueError):
-            RunConfig(method="pqj", epsilon=1e-4, truncation_mode="rank-aware").validate()
-
     def test_default_kappa_is_ten_epsilon(self):
         cfg = RunConfig(method="cfqj", epsilon=1e-4)
         assert cfg.effective_kappa() == pytest.approx(1e-3)
