@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -103,6 +104,12 @@ class RunConfig:
             raise ValueError("epsilon must be >= 0")
         if self.kappa is not None and self.kappa < self.epsilon:
             raise ValueError("kappa must be >= epsilon")
+        if not isinstance(self.energy_window, Integral) or self.energy_window < 1:
+            raise ValueError("energy_window must be an int >= 1")
+        for name in ("residual_floor", "energy_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def effective_kappa(self) -> float | None:
         if self.method != "cfqj":
@@ -295,7 +302,8 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
 
     Terminates on max_cycles, the residual-norm floor, an empty stochastic
     selection space, or a stretch of negligible energy changes.  Backend
-    failures raise QJRunError with the partial trace attached.
+    failures, and numerical failures of the residual or the conjugation, raise
+    QJRunError with the trace of the cycles completed before.
     """
     config.validate()
     flavor = _FLAVOR[config.method]
@@ -330,8 +338,17 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
     trace.termination = "max_cycles"
 
     n_particles = phi0.bit_count()
+
+    def abort(stage: str, exc: Exception) -> QJRunError:
+        trace.termination = f"{stage}_error: {exc}"
+        trace.final_circuit = circuit
+        return QJRunError(str(exc), trace)
+
     for k in range(1, config.max_cycles + 1):
-        residual = classical_residual(h_approx, phi0)
+        try:
+            residual = classical_residual(h_approx, phi0)
+        except (FloatingPointError, ValueError) as exc:
+            raise abort("residual", exc) from exc
         rnorm = residual.norm()
         if rnorm < config.residual_floor or not residual.entries:
             trace.termination = "residual_floor"
@@ -361,12 +378,14 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
         try:
             block = measure_block(circuit, gen, energy, backend)
         except Exception as exc:  # preserve the partial trace
-            trace.termination = f"backend_error: {exc}"
-            trace.final_circuit = circuit
-            raise QJRunError(str(exc), trace) from exc
+            raise abort("backend", exc) from exc
         theta, e_next = solve_givens(block)
-        circuit, merged = merge_step(circuit, GivensStep(gen, theta), config.merge_threshold)
-        h_approx = transform_hamiltonian(h_approx, gen, theta, config, phi0)
+        grown, merged = merge_step(circuit, GivensStep(gen, theta), config.merge_threshold)
+        try:
+            h_approx = transform_hamiltonian(h_approx, gen, theta, config, phi0)
+        except (FloatingPointError, ValueError) as exc:
+            raise abort("conjugation", exc) from exc
+        circuit = grown
         previous, energy = energy, e_next
         trace.records.append(CycleRecord(
             k=k, energy=energy, phase=phase,

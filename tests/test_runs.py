@@ -1,7 +1,8 @@
 import pytest
 
+from qjacobi import jacobi
 from qjacobi.fci import embed_in_full_space
-from qjacobi.jacobi import RunConfig, run_quantum_jacobi
+from qjacobi.jacobi import QJRunError, RunConfig, run_quantum_jacobi
 from qjacobi.statevector import apply_circuit, fidelity, prepare_determinant, expectation_exact
 
 
@@ -199,3 +200,47 @@ class TestConfigValidation:
     def test_default_kappa_is_ten_epsilon(self):
         cfg = RunConfig(method="cfqj", epsilon=1e-4)
         assert cfg.effective_kappa() == pytest.approx(1e-3)
+
+    def test_energy_window_positive_int(self):
+        for bad in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="energy_window"):
+                RunConfig(method="cfqj", epsilon=1e-4, energy_window=bad).validate()
+        RunConfig(method="cfqj", epsilon=1e-4, energy_window=1).validate()
+
+    def test_residual_floor_finite_nonnegative(self):
+        for bad in (float("nan"), float("inf"), -1e-9):
+            with pytest.raises(ValueError, match="residual_floor"):
+                RunConfig(method="cfqj", epsilon=1e-4, residual_floor=bad).validate()
+        RunConfig(method="cfqj", epsilon=1e-4, residual_floor=0.0).validate()
+
+    def test_energy_floor_finite_nonnegative(self):
+        for bad in (float("nan"), float("inf"), -1e-9):
+            with pytest.raises(ValueError, match="energy_floor"):
+                RunConfig(method="cfqj", epsilon=1e-4, energy_floor=bad).validate()
+        RunConfig(method="cfqj", epsilon=1e-4, energy_floor=0.0).validate()
+
+
+class TestStageFailures:
+    @pytest.mark.parametrize("stage, label, error", [
+        ("classical_residual", "residual_error", FloatingPointError),
+        ("transform_hamiltonian", "conjugation_error", ValueError),
+    ])
+    def test_failure_at_cycle_three_keeps_partial_trace(self, h4, monkeypatch, stage, label,
+                                                        error):
+        real = getattr(jacobi, stage)
+        calls = []
+
+        def fail_on_third_call(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise error("injected")
+            return real(*args)
+
+        monkeypatch.setattr(jacobi, stage, fail_on_third_call)
+        with pytest.raises(QJRunError) as info:
+            run_quantum_jacobi(h4, RunConfig(method="cfqj", epsilon=1e-4, kappa=1e-3,
+                                             max_cycles=10))
+        trace = info.value.trace
+        assert len(trace.records) == 3
+        assert trace.termination == f"{label}: injected"
+        assert len(trace.final_circuit) == 2

@@ -1,20 +1,50 @@
 import math
+import pathlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qjacobi import statevector
+from qjacobi.fcidump import parse_fcidump
 from qjacobi.fci import dense_matrix, embed_in_full_space
-from qjacobi.fermion import FermionGenerator, FermionOperator
-from qjacobi.hamiltonian import hf_energy
+from qjacobi.fermion import FermionGenerator, FermionOperator, conjugate_key
+from qjacobi.hamiltonian import build_hamiltonian, hf_energy
+from qjacobi.jacobi import RunConfig, run_quantum_jacobi
 from qjacobi.jordan_wigner import jordan_wigner
-from qjacobi.pauli import PauliGenerator, PauliOperator
+from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, StatevectorBackend,
-                                 apply_circuit, apply_fermionic_rotation,
-                                 apply_pauli_rotation,
+                                 apply_circuit, apply_excitation,
+                                 apply_fermionic_rotation, apply_pauli_rotation,
+                                 apply_pauli_string, compile_operator,
                                  expectation_exact, expectation_sampled,
-                                 fidelity, prepare_determinant)
+                                 fidelity, prepare_determinant, sampling_order)
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def term_loop(op, state):
+    """H . state one term after another: the oracle for the compiled kernel."""
+    acc = np.zeros_like(state)
+    if isinstance(op, FermionOperator):
+        for key, coeff in op.terms.items():
+            acc += coeff * apply_excitation(state, key)
+        if op.constant:
+            acc += op.constant * state
+        return acc
+    for key, coeff in op.terms.items():
+        if key == PAULI_IDENTITY:
+            acc += coeff * state
+        else:
+            acc += coeff * apply_pauli_string(state, key)
+    return acc
+
+
+def oracle_expectation(op, state):
+    return complex(np.vdot(state, term_loop(op, state))).real
 
 
 class TestPrepare:
@@ -152,6 +182,13 @@ class TestSampled:
         val = expectation_sampled(op, s, shots_per_term=3, rng=7)
         assert val == expectation_exact(op, s)
 
+    def test_sampling_order_draws_alike(self, h2):
+        hp = jordan_wigner(h2.hamiltonian)
+        s = apply_fermionic_rotation(prepare_determinant(h2.n_qubits, h2.hf_determinant),
+                                     FermionGenerator.from_determinants(0b0011, 0b1100), 0.4)
+        assert (expectation_sampled(hp, s, 500, rng=5)
+                == expectation_sampled(sampling_order(hp), s, 500, rng=5))
+
     def test_seed_reproducible(self, h2):
         hp = jordan_wigner(h2.hamiltonian)
         s = prepare_determinant(h2.n_qubits, h2.hf_determinant)
@@ -208,3 +245,132 @@ class TestBackend:
         backend.expectation(Circuit())
         n_terms = backend.pauli_hamiltonian().term_count()
         assert backend.shots_used == 10 * n_terms
+
+
+def _problem(name):
+    files = {"h2": "h2_sto6g_0.7414.fcidump", "h4": "h4_linear_1.5.fcidump",
+             "h6": "h6_linear_1.5.fcidump"}
+    return build_hamiltonian(parse_fcidump((FIXTURES / files[name]).read_text()))
+
+
+def _circuit(problem, flavor):
+    """Givens steps from |HF> to the four lowest other determinants of its sector."""
+    hf = problem.hf_determinant
+    picks = [d for d in range(1 << problem.n_qubits)
+             if d.bit_count() == problem.n_electrons and d != hf][:4]
+    make = FermionGenerator if flavor == "fermionic" else PauliGenerator
+    return Circuit(tuple(GivensStep(make.from_determinants(hf, d), 0.3 + 0.2 * i)
+                         for i, d in enumerate(picks)))
+
+
+class TestCompiledKernel:
+    # (sector, full register) COO entries of each fixture's Hamiltonian
+    SIZES = {"h2": (22, 60), "h4": (1892, 6336), "h6": (96012, 387072)}
+
+    @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
+    def test_bit_identical_to_term_loop(self, name):
+        problem = _problem(name)
+        h = problem.hamiltonian
+        sector, full = self.SIZES[name]
+        inside = StatevectorBackend(problem.n_qubits, problem.hf_determinant, h)
+        circuit = _circuit(problem, "fermionic")
+        state = inside.state(circuit)
+        assert inside.expectation(circuit) == oracle_expectation(h, state)
+        assert expectation_exact(h, state) == oracle_expectation(h, state)
+        assert inside.exact_hamiltonian(state).rows.size == sector
+
+        # Pauli rotations leave the particle-number sector: the backend
+        # recompiles over the full register once and stays there
+        outside = StatevectorBackend(problem.n_qubits, problem.hf_determinant, h)
+        hf_state = outside.state(Circuit())
+        assert outside.expectation(Circuit()) == oracle_expectation(h, hf_state)
+        assert outside.exact_hamiltonian(hf_state).rows.size == sector
+        circuit = _circuit(problem, "pauli")
+        state = outside.state(circuit)
+        counts = np.bitwise_count(np.arange(state.size))
+        assert np.any(state[counts != problem.n_electrons])
+        assert outside.expectation(circuit) == oracle_expectation(h, state)
+        assert expectation_exact(h, state) == oracle_expectation(h, state)
+        assert outside.exact_hamiltonian(hf_state).rows.size == full
+
+    def test_pauli_operator_matches_term_loop(self, h2):
+        hp = jordan_wigner(h2.hamiltonian)
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=16) + 1j * rng.normal(size=16)
+        v /= np.linalg.norm(v)
+        assert expectation_exact(hp, v) == pytest.approx(oracle_expectation(hp, v), abs=1e-14)
+
+    def test_cached_maps_read_only(self):
+        maps = (statevector._excitation_map(((2, 3), (0, 1)), 16)
+                + statevector._pauli_map((0b0110, 0b0011), 16))
+        for arr in maps:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_trace_independent_of_cache_state(self, h4):
+        cfg = dict(method="cfqj", epsilon=1e-4, kappa=1e-3, max_cycles=60, rng_seed=5)
+        statevector._excitation_map.cache_clear()
+        statevector._pauli_map.cache_clear()
+        cold = run_quantum_jacobi(h4, RunConfig(**cfg)).to_jsonl()
+        misses = statevector._excitation_map.cache_info().misses
+        warm = run_quantum_jacobi(h4, RunConfig(**cfg)).to_jsonl()
+        assert statevector._excitation_map.cache_info().misses == misses
+        assert warm == cold
+
+
+def _keys(n_modes):
+    modes = st.lists(st.integers(0, n_modes - 1), unique=True,
+                     min_size=1, max_size=min(3, n_modes))
+    return modes.flatmap(lambda cre: st.tuples(
+        st.just(tuple(sorted(cre))),
+        st.lists(st.integers(0, n_modes - 1), unique=True, min_size=len(cre),
+                 max_size=len(cre)).map(lambda ann: tuple(sorted(ann)))))
+
+
+@st.composite
+def hermitian_operators(draw):
+    """A random Hermitian FermionOperator on <= 6 modes with rank <= 3 terms."""
+    n = draw(st.integers(1, 6))
+    terms = {}
+    for key in draw(st.lists(_keys(n), min_size=1, max_size=8)):
+        coeff = draw(st.floats(-1.0, 1.0))
+        for k in (key, conjugate_key(key)):
+            terms[k] = terms.get(k, 0.0) + coeff
+    return n, FermionOperator(terms, draw(st.floats(-1.0, 1.0)))
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return v / np.linalg.norm(v)
+
+
+class TestKernelProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(hermitian_operators(), st.integers(0, 2**32 - 1))
+    def test_expectation_matches_dense(self, n_op, seed):
+        n, op = n_op
+        s = _random_state(n, seed)
+        assert abs(expectation_exact(op, s) - np.vdot(s, dense_matrix(op, n) @ s).real) < 1e-12
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(hermitian_operators(), st.integers(0, 2**32 - 1))
+    def test_sector_compile_matches_dense(self, n_op, seed):
+        n, op = n_op
+        register = np.arange(1 << n, dtype=np.uint64)
+        in_sector = np.bitwise_count(register) == n // 2
+        s = np.where(in_sector, _random_state(n, seed), 0.0)
+        s /= np.linalg.norm(s)
+        sparse = compile_operator(op, register[in_sector])
+        assert abs(expectation_exact(sparse, s)
+                   - np.vdot(s, dense_matrix(op, n) @ s).real) < 1e-12
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), _keys(n))))
+    def test_excitation_matches_act_columns(self, n_key):
+        n, key = n_key
+        dense = dense_matrix(FermionOperator({key: 1.0}), n)
+        columns = np.column_stack([apply_excitation(prepare_determinant(n, d), key)
+                                   for d in range(1 << n)])
+        assert np.array_equal(columns, dense)
