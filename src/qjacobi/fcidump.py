@@ -54,8 +54,9 @@ def _tokens(line: str) -> list[str]:
 def parse_fcidump(source) -> FCIDumpData:
     """Parse FCIDUMP text from a string, path-like or file object.
 
-    Raises FCIDumpError with a line number for malformed headers, non-numeric
-    fields, out-of-range indices or symmetry-conflicting duplicates.
+    Raises FCIDumpError with a line number for malformed or inconsistent
+    headers, non-numeric fields, out-of-range indices or symmetry-conflicting
+    duplicates.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -101,6 +102,9 @@ def parse_fcidump(source) -> FCIDumpData:
     ms2 = _int_field("MS2", default=0)
     if norb <= 0 or nelec <= 0:
         raise FCIDumpError("line 1: NORB and NELEC must be positive")
+    if (nelec + ms2) % 2 or not (abs(ms2) <= nelec and nelec + abs(ms2) <= 2 * norb):
+        raise FCIDumpError(f"line 1: NELEC={nelec}, MS2={ms2} give spin counts "
+                           f"(NELEC +- MS2)/2 outside the integers 0..NORB={norb}")
 
     data = FCIDumpData(n_spatial=norb, n_electrons=nelec, ms2=ms2)
 

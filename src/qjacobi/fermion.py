@@ -31,13 +31,15 @@ def conjugate_key(key: Key) -> Key:
     return (ann, cre)
 
 
-def key_support(key: Key) -> int:
+def _mask(indices: Iterable[int]) -> int:
     mask = 0
-    for q in key[0]:
-        mask |= 1 << q
-    for q in key[1]:
+    for q in indices:
         mask |= 1 << q
     return mask
+
+
+def key_support(key: Key) -> int:
+    return _mask(key[0]) | _mask(key[1])
 
 
 def excitation_rank(key: Key) -> int:
@@ -365,7 +367,6 @@ def _gen_cache(gen: FermionGenerator) -> dict:
             "gsign": gen.sign,
             "support": key_support(gen.excitation),
             "comm": {},
-            "axa": {},
             "struct": {},
         }
         _GEN_CACHES[gid] = cache
@@ -398,30 +399,18 @@ def _comm_with_gen(key: Key, cache: dict) -> tuple[tuple[Key, int], ...]:
     return hit
 
 
-def _axa(key: Key, cache: dict) -> tuple[tuple[Key, int], ...]:
-    """A . key . A, up to the (irrelevant) overall sign^2 = 1."""
-    hit = cache["axa"].get(key)
-    if hit is not None:
-        return hit
-    g = cache["gkey"]
-    gd = conjugate_key(g)
-    acc: dict[Key, int] = {}
-    for left, ls in ((g, 1), (gd, -1)):
-        for k1, c1 in term_product(left, key):
-            w1 = ls * c1
-            for right, rs in ((g, 1), (gd, -1)):
-                for k2, c2 in term_product(k1, right):
-                    acc[k2] = acc.get(k2, 0) + w1 * rs * c2
-    hit = tuple((k, c) for k, c in acc.items() if c)
-    cache["axa"][key] = hit
-    return hit
-
-
 def _bch_structure(key: Key, cache: dict):
     """(linear_case, [E,A], [[E,A],A]) for one key, or None if [E,A] = 0.
 
-    ``linear_case`` is the symbolic test A [E,A] A = 0 that decides between
-    the two closed forms of the conjugation.
+    ``linear_case`` picks the closed form from how E's indices overlap the
+    generator support R = P u Q (P its creation, Q its annihilation
+    indices).  A rotates only the determinants whose R-bits
+    read Q occupied, P empty, or the reverse; on all others it vanishes.  E
+    flips exactly the R-bits in F = (cre mask ^ ann mask) & R.  With F = 0 or
+    F = R, E maps rotating determinants to rotating ones (and inert to inert),
+    so A [E,A] A != 0 and the double-angle form holds.  With any other F, E
+    maps rotating determinants to inert ones and back, so A [E,A] A = 0 and
+    the sin / (1 - cos) form holds.
     """
     struct = cache["struct"].get(key, _MISSING)
     if struct is not _MISSING:
@@ -434,15 +423,13 @@ def _bch_structure(key: Key, cache: dict):
         struct = None
     else:
         acc2: dict[Key, int] = {}
-        zacc: dict[Key, int] = {}
         for k, c in c1:
             for kk, cc in _comm_with_gen(k, cache):
                 acc2[kk] = acc2.get(kk, 0) + c * cc
-            for kk, cc in _axa(k, cache):
-                zacc[kk] = zacc.get(kk, 0) + c * cc
         c2 = tuple((k, c) for k, c in acc2.items() if c)
-        linear_case = not any(zacc.values())
-        struct = (linear_case, c1, c2)
+        support = cache["support"]
+        flip = (_mask(key[0]) ^ _mask(key[1])) & support
+        struct = (flip not in (0, support), c1, c2)
     cache["struct"][key] = struct
     return struct
 
@@ -451,12 +438,13 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
                   floor: float = ZERO_FLOOR) -> FermionOperator:
     """Exact e^{-theta A} H e^{theta A}, term by term.
 
-    Keys commuting with A pass through unchanged.  When A [E,A] A = 0 the
-    conjugation closes as
+    Keys commuting with A pass through unchanged.  When E flips some but not
+    all of the generator's indices (see ``_bch_structure``), A [E,A] A = 0 and
+    the conjugation closes as
 
         E + sin(theta) [E,A] + (1 - cos(theta)) [[E,A],A]
 
-    and otherwise as
+    and when it flips none or all of them, as
 
         E + sin(2 theta)/2 [E,A] + sin^2(theta)/2 [[E,A],A].
     """

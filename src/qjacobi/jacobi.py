@@ -94,18 +94,19 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.kappa is not None and self.method != "cfqj":
             raise ValueError("kappa is only meaningful for cfqj")
-        if self.shots_per_term is not None and self.shots_per_term < 1:
-            raise ValueError("shots_per_term must be >= 1")
         if self.merge_threshold is not None and self.merge_threshold < 0:
             raise ValueError("merge_threshold must be >= 0")
-        if self.max_cycles < 0:
-            raise ValueError("max_cycles must be >= 0")
         if self.method in _TRUNCATED and self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         if self.kappa is not None and self.kappa < self.epsilon:
             raise ValueError("kappa must be >= epsilon")
-        if not isinstance(self.energy_window, Integral) or self.energy_window < 1:
-            raise ValueError("energy_window must be an int >= 1")
+        counts = {"max_cycles": 0, "rng_seed": 0, "energy_window": 1}
+        if self.shots_per_term is not None:
+            counts["shots_per_term"] = 1
+        for name, low in counts.items():
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an int >= {low}")
         for name in ("residual_floor", "energy_floor"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

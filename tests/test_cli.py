@@ -141,6 +141,19 @@ class TestErrors:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("header", ["NORB=2,NELEC=5,MS2=1", "NORB=2,NELEC=2,MS2=1",
+                                        "NORB=2,NELEC=2,MS2=4"])
+    @pytest.mark.parametrize("skip_fci", [[], ["--skip-fci"]])
+    def test_inconsistent_fcidump_header(self, tmp_path, header, skip_fci):
+        body = pathlib.Path(H2).read_text().split("&END", 1)[1]
+        bad = tmp_path / "bad.fcidump"
+        bad.write_text(f"&FCI {header},&END" + body)
+        code, out, err = run_cli(["run", "--fcidump", str(bad), "--method", "exact-fermion",
+                                  "--max-cycles", "2", *skip_fci])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("qjacobi-error: fcidump: line 1:")
+
     def test_unwritable_output_path(self):
         code, out, err = run_cli(["run", "--fcidump", H2, "--method", "exact-fermion",
                                   "--max-cycles", "1", "--trace", "/no/such/dir/t.jsonl"])

@@ -86,3 +86,24 @@ def test_malformed_index_pattern_rejected():
     text = "&FCI NORB=2,NELEC=2,MS2=0,&END\n 1.0 1 2 2 0\n"
     with pytest.raises(FCIDumpError, match="line 2"):
         parse_fcidump(text)
+
+
+@pytest.mark.parametrize("header", [
+    "NORB=2,NELEC=2,MS2=1",   # NELEC + MS2 odd
+    "NORB=2,NELEC=5,MS2=1",   # 3 alpha electrons in 2 orbitals
+    "NORB=2,NELEC=2,MS2=4",   # -1 beta electrons
+    "NORB=2,NELEC=2,MS2=-4",  # -1 alpha electrons
+    "NORB=2,NELEC=5,MS2=0",   # odd NELEC with the default MS2
+])
+def test_inconsistent_spin_header_rejected(header):
+    with pytest.raises(FCIDumpError, match="line 1"):
+        parse_fcidump(f"&FCI {header},&END\n 1.0 1 1 0 0\n")
+
+
+@pytest.mark.parametrize("header, counts", [
+    ("NORB=2,NELEC=4,MS2=0", (2, 4, 0)),   # both spin shells full
+    ("NORB=2,NELEC=2,MS2=-2", (2, 2, -2)),  # two beta, no alpha electrons
+])
+def test_spin_header_at_bounds_accepted(header, counts):
+    data = parse_fcidump(f"&FCI {header},&END\n 1.0 1 1 0 0\n")
+    assert (data.n_spatial, data.n_electrons, data.ms2) == counts

@@ -1,14 +1,19 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qjacobi import fermion
 from qjacobi.fci import dense_matrix
-from qjacobi.fermion import (FermionGenerator, FermionOperator, _reorder,
-                             apply_key_to_det, bch_transform, classify_indices,
+from qjacobi.fermion import (FermionGenerator, FermionOperator, _bch_structure, _gen_cache,
+                             _reorder, apply_key_to_det, bch_transform, classify_indices,
                              commutator, conjugate_key, excitation_rank,
                              key_events, multiply, normal_order, term_product)
+from qjacobi.jacobi import RunConfig, run_quantum_jacobi
 
 
 def op_from_terms(*pairs, constant=0.0):
@@ -249,6 +254,74 @@ class TestBchFermionic:
             m = dense_matrix(op_from_terms((key, 1.0)), 4)
             md = dense_matrix(op_from_terms((conjugate_key(key), 1.0)), 4)
             assert np.allclose(m.conj().T, md)
+
+
+def closes_linearly(key, gen):
+    """Symbolic oracle for the closed-form case: A [E,A] A == 0, or None if [E,A] = 0."""
+    a = gen.operator()
+    c1 = commutator(FermionOperator({key: 1.0}), a)
+    if not c1.terms and not c1.constant:
+        return None
+    axa = multiply(multiply(a, c1), a)
+    return not axa.terms and not axa.constant
+
+
+def canonical_keys(n_modes, max_rank):
+    for rank in range(1, max_rank + 1):
+        for cre in combinations(range(n_modes), rank):
+            for ann in combinations(range(n_modes), rank):
+                yield (cre, ann)
+
+
+class TestClosedFormCase:
+    @pytest.mark.parametrize("excitation", [((6,), (1,)), ((2, 7), (0, 4)),
+                                            ((1, 3, 6), (0, 4, 5))])
+    def test_overlap_rule_matches_symbolic_oracle(self, excitation):
+        gen = FermionGenerator(excitation)
+        cache = _gen_cache(gen)
+        cases = set()
+        for key in canonical_keys(8, 4):
+            expected = closes_linearly(key, gen)
+            struct = _bch_structure(key, cache)
+            assert (struct is None) == (expected is None), key
+            if struct is not None:
+                assert struct[0] == expected, key
+                cases.add(expected)
+        assert cases == {True, False}
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_conjugation_matches_expm(self, data):
+        n = data.draw(st.integers(2, 6))
+        rank = data.draw(st.integers(1, min(3, n // 2)))
+        modes = data.draw(st.permutations(range(n)))
+        gen = FermionGenerator((tuple(sorted(modes[:rank])), tuple(sorted(modes[rank:2 * rank]))),
+                               data.draw(st.sampled_from((1, -1))))
+        key_rank = data.draw(st.integers(1, min(3, n)))
+        cre = data.draw(st.lists(st.integers(0, n - 1), min_size=key_rank,
+                                 max_size=key_rank, unique=True))
+        ann = data.draw(st.lists(st.integers(0, n - 1), min_size=key_rank,
+                                 max_size=key_rank, unique=True))
+        key = (tuple(sorted(cre)), tuple(sorted(ann)))
+        theta = data.draw(st.floats(-3.2, 3.2))
+        out = bch_transform(FermionOperator({key: 1.0}), gen, theta)
+        a = dense_matrix(gen.operator(), n)
+        e = dense_matrix(FermionOperator({key: 1.0}), n)
+        ref = expm(-theta * a) @ e @ expm(theta * a)
+        assert np.max(np.abs(dense_matrix(out, n) - ref)) < 1e-10
+
+
+class TestCacheState:
+    def test_trace_independent_of_cache_state(self, h4):
+        cfg = dict(method="cfqj", epsilon=1e-4, kappa=1e-3, rng_seed=5)
+        run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=20))
+        warm = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
+        assert fermion._GEN_CACHES
+        fermion._GEN_CACHES.clear()
+        for cached in (term_product, fermion._cross, _reorder):
+            cached.cache_clear()
+        cold = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
+        assert cold == warm
 
 
 class TestDeterminantAction:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qjacobi import jacobi
@@ -218,6 +219,19 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="energy_floor"):
                 RunConfig(method="cfqj", epsilon=1e-4, energy_floor=bad).validate()
         RunConfig(method="cfqj", epsilon=1e-4, energy_floor=0.0).validate()
+
+    @pytest.mark.parametrize("field, bad", [
+        ("max_cycles", 2.7), ("max_cycles", -1), ("max_cycles", None),
+        ("shots_per_term", 2.5), ("shots_per_term", 0),
+        ("rng_seed", 1.5), ("rng_seed", -1), ("rng_seed", None),
+    ])
+    def test_counts_are_ints(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(method="pqj", epsilon=1e-4, **{field: bad}).validate()
+
+    def test_counts_accept_numpy_ints(self):
+        RunConfig(method="pqj", epsilon=1e-4, max_cycles=np.int64(3),
+                  shots_per_term=np.int64(10), rng_seed=np.int64(0)).validate()
 
 
 class TestStageFailures:
