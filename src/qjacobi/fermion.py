@@ -297,8 +297,8 @@ class FermionGenerator:
     """Givens generator A = E - E+ built from a single pure excitation.
 
     ``sign`` orients E so that it maps the chosen reference determinant to the
-    target determinant with amplitude +1.  Construction verifies the
-    nilpotency A^3 = -A symbolically.
+    target determinant with amplitude +1.  Disjoint creation and annihilation
+    indices make A^3 = -A hold, so construction checks only that.
     """
 
     excitation: Key
@@ -312,11 +312,6 @@ class FermionGenerator:
             raise ValueError("generator contains a spectator index")
         if self.sign not in (-1, 1):
             raise ValueError("generator sign must be +1 or -1")
-        a = self.operator()
-        a3 = multiply(multiply(a, a), a)
-        residue = a3.plus(a)
-        if residue.terms or residue.constant:
-            raise ValueError("generator violates A^3 = -A")
 
     def operator(self) -> FermionOperator:
         """The anti-Hermitian A = E - E+ as a FermionOperator."""
@@ -348,9 +343,10 @@ class FermionGenerator:
 # ---------------------------------------------------------------------------
 # Closed-form single-generator conjugation e^{-theta A} E_i e^{theta A}.
 #
-# Per-generator scratch caches hold, for every Hamiltonian key met so far, the
-# theta-independent commutator structure; repeated generators (angle merging,
-# stochastic re-picks) then reduce the transform to dictionary merges.
+# Each generator keeps a table from R-patterns to R-local commutators, built
+# with the Wick algebra once per pattern, and a per-key memo in front of it;
+# repeated generators (angle merging, stochastic re-picks) then reduce the
+# transform to dictionary merges.
 # ---------------------------------------------------------------------------
 
 _GEN_CACHE_MAX = 32
@@ -366,7 +362,7 @@ def _gen_cache(gen: FermionGenerator) -> dict:
             "gkey": gen.excitation,
             "gsign": gen.sign,
             "support": key_support(gen.excitation),
-            "comm": {},
+            "table": {},
             "struct": {},
         }
         _GEN_CACHES[gid] = cache
@@ -377,59 +373,126 @@ def _gen_cache(gen: FermionGenerator) -> dict:
     return cache
 
 
+@lru_cache(maxsize=1 << 14)
+def _bits(mask: int) -> tuple[int, ...]:
+    """Ascending indices of the set bits of ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _comm_with_gen(key: Key, cache: dict) -> tuple[tuple[Key, int], ...]:
     """[key, A] with A = sign (E_g - E_g+), integer coefficients."""
-    hit = cache["comm"].get(key)
-    if hit is not None:
-        return hit
     g = cache["gkey"]
     gd = conjugate_key(g)
-    s = cache["gsign"]
     acc: dict[Key, int] = {}
-    for kk, c in term_product(key, g):
-        acc[kk] = acc.get(kk, 0) + c
-    for kk, c in term_product(g, key):
-        acc[kk] = acc.get(kk, 0) - c
-    for kk, c in term_product(key, gd):
-        acc[kk] = acc.get(kk, 0) - c
-    for kk, c in term_product(gd, key):
-        acc[kk] = acc.get(kk, 0) + c
-    hit = tuple((k, s * c) for k, c in acc.items() if c)
-    cache["comm"][key] = hit
-    return hit
+    for left, right, sign in ((key, g, 1), (g, key, -1), (key, gd, -1), (gd, key, 1)):
+        for kk, c in term_product(left, right):
+            acc[kk] = acc.get(kk, 0) + sign * c
+    s = cache["gsign"]
+    return tuple((k, s * c) for k, c in acc.items() if c)
 
 
-def _bch_structure(key: Key, cache: dict):
-    """(linear_case, [E,A], [[E,A],A]) for one key, or None if [E,A] = 0.
+def _pattern_entry(cre_r: int, ann_r: int, cache: dict):
+    """Table entry of one R-pattern: (linear_case, c1, c2), or None if E_R
+    commutes with A.
 
-    ``linear_case`` picks the closed form from how E's indices overlap the
-    generator support R = P u Q (P its creation, Q its annihilation
-    indices).  A rotates only the determinants whose R-bits
-    read Q occupied, P empty, or the reverse; on all others it vanishes.  E
-    flips exactly the R-bits in F = (cre mask ^ ann mask) & R.  With F = 0 or
-    F = R, E maps rotating determinants to rotating ones (and inert to inert),
-    so A [E,A] A != 0 and the double-angle form holds.  With any other F, E
-    maps rotating determinants to inert ones and back, so A [E,A] A = 0 and
-    the sin / (1 - cos) form holds.
+    c1 = [E_R,A] and c2 = [[E_R,A],A] list R-local terms as
+    ``(cre_mask, ann_mask, int coeff)``, in the Wick algebra's output order.
     """
-    struct = cache["struct"].get(key, _MISSING)
-    if struct is not _MISSING:
-        return struct
-    if key_support(key) & cache["support"] == 0:
-        cache["struct"][key] = None
-        return None
-    c1 = _comm_with_gen(key, cache)
+    table = cache["table"]
+    entry = table.get((cre_r, ann_r), _MISSING)
+    if entry is not _MISSING:
+        return entry
+    c1 = _comm_with_gen((_bits(cre_r), _bits(ann_r)), cache)
     if not c1:
-        struct = None
+        entry = None
     else:
         acc2: dict[Key, int] = {}
         for k, c in c1:
             for kk, cc in _comm_with_gen(k, cache):
                 acc2[kk] = acc2.get(kk, 0) + c * cc
-        c2 = tuple((k, c) for k, c in acc2.items() if c)
-        support = cache["support"]
-        flip = (_mask(key[0]) ^ _mask(key[1])) & support
-        struct = (flip not in (0, support), c1, c2)
+        flip = cre_r ^ ann_r
+        entry = (flip not in (0, cache["support"]),
+                 tuple((_mask(k[0]), _mask(k[1]), c) for k, c in c1),
+                 tuple((_mask(k[0]), _mask(k[1]), c) for k, c in acc2.items() if c))
+    table[(cre_r, ann_r)] = entry
+    return entry
+
+
+def _front_signs(support: int, cre_rest: int, ann_rest: int) -> tuple[int, int]:
+    """Odd-move masks over R for keys whose operators outside R are fixed.
+
+    A canonical key is written creations ascending, annihilations descending.
+    Moving its R operators to the front (order E_R E_rest) passes, for a
+    creation x in R, the rest creations below x; for an annihilation x in R,
+    the rest annihilations above x and then every rest creation.  Bit x of
+    the creation (annihilation) mask is set when that count is odd, so the
+    sign sigma of an R-pattern (cre_r, ann_r) has the parity of
+    popcount(cre_r & cre_odd) + popcount(ann_r & ann_odd).
+    """
+    cre_odd = ann_odd = 0
+    m = support
+    while m:
+        low = m & -m
+        if (cre_rest & (low - 1)).bit_count() & 1:
+            cre_odd |= low
+        if (ann_rest & -low).bit_count() & 1:  # R and rest share no bit
+            ann_odd |= low
+        m ^= low
+    if cre_rest.bit_count() & 1:
+        ann_odd ^= support
+    return cre_odd, ann_odd
+
+
+def _attach(local, parity: int, cre_rest: int, ann_rest: int, cre_odd: int,
+            ann_odd: int) -> tuple[tuple[Key, int], ...]:
+    """Canonical keys and signs of sigma(E) F_j E_rest for R-local terms F_j."""
+    out = []
+    for f_cre, f_ann, c in local:
+        p = parity + (f_cre & cre_odd).bit_count() + (f_ann & ann_odd).bit_count()
+        out.append(((_bits(f_cre | cre_rest), _bits(f_ann | ann_rest)), -c if p & 1 else c))
+    return tuple(out)
+
+
+def _bch_structure(key: Key, cache: dict):
+    """(linear_case, [E,A], [[E,A],A]) for one key, or None if [E,A] = 0.
+
+    A is even and acts only on its support R = P u Q (P its creation, Q its
+    annihilation indices), so with E = sigma(E) E_R E_rest, sigma the sign of
+    moving the R operators to the front (``_front_signs``), E_rest commutes
+    with A and [E,A] = sigma(E) [E_R,A] E_rest.  [E_R,A] and [[E_R,A],A] come
+    from the table entry of E's R-pattern (cre & R, ann & R); each R-local
+    output F_j maps to F_j E_rest = sigma(F_j u rest) canonical(F_j u rest).
+
+    ``linear_case`` picks the closed form from how E's indices overlap R.  A
+    rotates only the determinants whose R-bits read Q occupied, P empty, or
+    the reverse; on all others it vanishes.  E flips exactly the R-bits in
+    F = (cre mask ^ ann mask) & R.  With F = 0 or F = R, E maps rotating
+    determinants to rotating ones (and inert to inert), so A [E,A] A != 0
+    and the double-angle form holds.  With any other F, E maps rotating
+    determinants to inert ones and back, so A [E,A] A = 0 and the
+    sin / (1 - cos) form holds.
+    """
+    struct = cache["struct"].get(key, _MISSING)
+    if struct is not _MISSING:
+        return struct
+    support = cache["support"]
+    cre, ann = _mask(key[0]), _mask(key[1])
+    cre_r, ann_r = cre & support, ann & support
+    entry = _pattern_entry(cre_r, ann_r, cache) if cre_r | ann_r else None
+    if entry is None:
+        struct = None
+    else:
+        linear_case, c1, c2 = entry
+        cre_rest, ann_rest = cre ^ cre_r, ann ^ ann_r
+        cre_odd, ann_odd = _front_signs(support, cre_rest, ann_rest)
+        parity = (cre_r & cre_odd).bit_count() + (ann_r & ann_odd).bit_count()
+        rest = (cre_rest, ann_rest, cre_odd, ann_odd)
+        struct = (linear_case, _attach(c1, parity, *rest), _attach(c2, parity, *rest))
     cache["struct"][key] = struct
     return struct
 
@@ -438,9 +501,10 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
                   floor: float = ZERO_FLOOR) -> FermionOperator:
     """Exact e^{-theta A} H e^{theta A}, term by term.
 
-    Keys commuting with A pass through unchanged.  When E flips some but not
-    all of the generator's indices (see ``_bch_structure``), A [E,A] A = 0 and
-    the conjugation closes as
+    Keys commuting with A pass through unchanged.  The others read [E,A] and
+    [[E,A],A] from the generator's R-pattern table (see ``_bch_structure``);
+    no Wick algebra runs per key.  When E flips some but not all of the
+    generator's indices, A [E,A] A = 0 and the conjugation closes as
 
         E + sin(theta) [E,A] + (1 - cos(theta)) [[E,A],A]
 
@@ -470,4 +534,3 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
             out[k] = out.get(k, 0.0) + hfc * c
     constant += out.pop(IDENTITY_KEY, 0.0)
     return FermionOperator(out, constant).pruned(floor)
-

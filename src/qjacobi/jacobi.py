@@ -180,10 +180,12 @@ def measure_block(circuit: Circuit, gen, e0: float, backend: StatevectorBackend)
     previous cycle's eigenvalue and never re-measured.
 
     E_mu comes from the pi/2-rotated state and the coupling from the pi/4
-    state minus (e0 + E_mu)/2.
+    state minus (e0 + E_mu)/2.  A non-finite value raises FloatingPointError.
     """
     e_mu = backend.expectation(circuit, extra_step=GivensStep(gen, math.pi / 2.0))
     mid = backend.expectation(circuit, extra_step=GivensStep(gen, math.pi / 4.0))
+    if not (math.isfinite(e_mu) and math.isfinite(mid)):
+        raise FloatingPointError(f"non-finite expectation value ({e_mu!r}, {mid!r})")
     return EffectiveBlock(e0=e0, e_mu=e_mu, c=mid - 0.5 * (e0 + e_mu))
 
 
@@ -302,9 +304,10 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
     """Execute the full iteration and return its trace.
 
     Terminates on max_cycles, the residual-norm floor, an empty stochastic
-    selection space, or a stretch of negligible energy changes.  Backend
-    failures, and numerical failures of the residual or the conjugation, raise
-    QJRunError with the trace of the cycles completed before.
+    selection space, or a stretch of negligible energy changes.  Numerical
+    failures (FloatingPointError, ValueError) of the residual, the selection,
+    the measurement or the conjugation raise QJRunError with the trace of the
+    cycles completed before; other exceptions propagate unchanged.
     """
     config.validate()
     flavor = _FLAVOR[config.method]
@@ -364,21 +367,24 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
         if not selectable.entries:
             trace.termination = "selection_space_empty"
             break
-        if phase == "deterministic":
-            pick = select_deterministic(selectable)
-            if last_pick is not None and pick == last_pick:
-                phase = "stochastic"
-                trace.k_c = k
+        try:
+            if phase == "deterministic":
+                pick = select_deterministic(selectable)
+                if last_pick is not None and pick == last_pick:
+                    phase = "stochastic"
+                    trace.k_c = k
+                    pick = select_stochastic(selectable, last_pick, sel_rng)
+            else:
                 pick = select_stochastic(selectable, last_pick, sel_rng)
-        else:
-            pick = select_stochastic(selectable, last_pick, sel_rng)
+        except (FloatingPointError, ValueError) as exc:
+            raise abort("selection", exc) from exc
         if pick is None:
             trace.termination = "selection_space_empty"
             break
         gen = generator_from_determinant(phi0, pick, flavor)
         try:
             block = measure_block(circuit, gen, energy, backend)
-        except Exception as exc:  # preserve the partial trace
+        except (FloatingPointError, ValueError) as exc:
             raise abort("backend", exc) from exc
         theta, e_next = solve_givens(block)
         grown, merged = merge_step(circuit, GivensStep(gen, theta), config.merge_threshold)

@@ -11,8 +11,8 @@ from qjacobi import fermion
 from qjacobi.fci import dense_matrix
 from qjacobi.fermion import (FermionGenerator, FermionOperator, _bch_structure, _gen_cache,
                              _reorder, apply_key_to_det, bch_transform, classify_indices,
-                             commutator, conjugate_key, excitation_rank,
-                             key_events, multiply, normal_order, term_product)
+                             commutator, conjugate_key, excitation_rank, key_events,
+                             key_support, multiply, normal_order, term_product)
 from qjacobi.jacobi import RunConfig, run_quantum_jacobi
 
 
@@ -187,11 +187,31 @@ class TestRankAndClassification:
             checked += 1
 
 
+def pure_excitations(n_modes, max_rank):
+    for rank in range(1, max_rank + 1):
+        for cre in combinations(range(n_modes), rank):
+            rest = [q for q in range(n_modes) if q not in cre]
+            for ann in combinations(rest, rank):
+                yield (cre, ann)
+
+
 class TestGenerator:
     def test_nilpotency_enforced(self):
         FermionGenerator(((2, 3), (0, 1)))  # fine
         with pytest.raises(ValueError):
             FermionGenerator(((0, 2), (0, 1)))  # spectator index
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_every_pure_excitation_is_nilpotent(self, sign):
+        # A^3 = -A follows from disjoint creation and annihilation indices,
+        # which is all the constructor checks
+        count = 0
+        for excitation in pure_excitations(8, 3):
+            a = FermionGenerator(excitation, sign).operator()
+            residue = multiply(multiply(a, a), a).plus(a)
+            assert not residue.terms and not residue.constant, excitation
+            count += 1
+        assert count == 56 + 420 + 560
 
     def test_from_determinants_sign(self):
         # phi0 = 0011, phi_mu = 0101: A = a+_2 a_1 - a+_1 a_2 oriented to +1
@@ -309,6 +329,55 @@ class TestClosedFormCase:
         e = dense_matrix(FermionOperator({key: 1.0}), n)
         ref = expm(-theta * a) @ e @ expm(theta * a)
         assert np.max(np.abs(dense_matrix(out, n) - ref)) < 1e-10
+
+
+def wick_structure(key, gen):
+    """Per-key Wick oracle for ``_bch_structure``: [E,A] and [[E,A],A] of the
+    full key through ``term_product``, with the overlap rule for the case."""
+    g, gd, s = gen.excitation, conjugate_key(gen.excitation), gen.sign
+
+    def comm(k):
+        acc = {}
+        for left, right, sign in ((k, g, 1), (g, k, -1), (k, gd, -1), (gd, k, 1)):
+            for kk, c in term_product(left, right):
+                acc[kk] = acc.get(kk, 0) + sign * c
+        return tuple((kk, s * c) for kk, c in acc.items() if c)
+
+    support = key_support(g)
+    if key_support(key) & support == 0:
+        return None
+    c1 = comm(key)
+    if not c1:
+        return None
+    acc2 = {}
+    for k, c in c1:
+        for kk, cc in comm(k):
+            acc2[kk] = acc2.get(kk, 0) + c * cc
+    c2 = tuple((k, c) for k, c in acc2.items() if c)
+    flip = (key_support((key[0], ())) ^ key_support(((), key[1]))) & support
+    return (flip not in (0, support), c1, c2)
+
+
+class TestPatternTables:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("excitation", [((6,), (1,)), ((2, 7), (0, 4)),
+                                            ((1, 3, 6), (0, 4, 5))])
+    def test_tables_match_wick_oracle_in_order(self, excitation, sign, monkeypatch):
+        gen = FermionGenerator(excitation, sign)
+        fermion._GEN_CACHES.pop((gen.excitation, gen.sign), None)
+        cache = _gen_cache(gen)
+        keys = list(canonical_keys(8, 4))
+        expected = [wick_structure(key, gen) for key in keys]
+        assert [_bch_structure(key, cache) for key in keys] == expected
+        assert len(cache["table"]) <= 4 ** len(excitation[0] + excitation[1])
+        # with every pattern tabulated, keys map through masks alone
+        cache["struct"].clear()
+
+        def no_wick(*args):
+            raise AssertionError("Wick algebra called per key")
+
+        monkeypatch.setattr(fermion, "term_product", no_wick)
+        assert [_bch_structure(key, cache) for key in keys] == expected
 
 
 class TestCacheState:

@@ -1,10 +1,14 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from qjacobi import jacobi
+from qjacobi.cli import main
 from qjacobi.fci import embed_in_full_space
 from qjacobi.jacobi import QJRunError, RunConfig, run_quantum_jacobi
-from qjacobi.statevector import apply_circuit, fidelity, prepare_determinant, expectation_exact
+from qjacobi.statevector import (StatevectorBackend, apply_circuit, expectation_exact, fidelity,
+                                 prepare_determinant)
 
 
 def energies(trace):
@@ -238,6 +242,7 @@ class TestStageFailures:
     @pytest.mark.parametrize("stage, label, error", [
         ("classical_residual", "residual_error", FloatingPointError),
         ("transform_hamiltonian", "conjugation_error", ValueError),
+        ("select_deterministic", "selection_error", ValueError),
     ])
     def test_failure_at_cycle_three_keeps_partial_trace(self, h4, monkeypatch, stage, label,
                                                         error):
@@ -258,3 +263,46 @@ class TestStageFailures:
         assert len(trace.records) == 3
         assert trace.termination == f"{label}: injected"
         assert len(trace.final_circuit) == 2
+
+    @staticmethod
+    def expectation_failing_on_fifth_call(monkeypatch, failure):
+        real = StatevectorBackend.expectation
+        calls = []
+
+        def expectation(self, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 5:
+                return failure()
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StatevectorBackend, "expectation", expectation)
+
+    def test_non_finite_expectation_is_a_backend_error(self, h4, monkeypatch):
+        # cycle 3's first expectation value is NaN: the run ends as a backend
+        # failure with cycles 0-2 kept, not in the angle solve or GivensStep
+        self.expectation_failing_on_fifth_call(monkeypatch, lambda: float("nan"))
+        with pytest.raises(QJRunError) as info:
+            run_quantum_jacobi(h4, RunConfig(method="cfqj", epsilon=1e-4, kappa=1e-3,
+                                             max_cycles=10))
+        trace = info.value.trace
+        assert len(trace.records) == 3
+        assert trace.termination.startswith("backend_error: non-finite expectation value")
+        assert len(trace.final_circuit) == 2
+
+    def test_non_finite_expectation_aborts_cli_run(self, monkeypatch, capsys):
+        self.expectation_failing_on_fifth_call(monkeypatch, lambda: float("nan"))
+        fcidump = pathlib.Path(__file__).parent / "fixtures" / "h4_linear_1.5.fcidump"
+        code = main(["run", "--fcidump", str(fcidump), "--method", "cfqj", "--epsilon", "1e-4",
+                     "--max-cycles", "10", "--skip-fci"])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("qjacobi-error: run-aborted: non-finite")
+
+    def test_programming_error_in_backend_propagates(self, h4, monkeypatch):
+        def fail():
+            raise TypeError("injected")
+
+        self.expectation_failing_on_fifth_call(monkeypatch, fail)
+        with pytest.raises(TypeError, match="injected"):
+            run_quantum_jacobi(h4, RunConfig(method="cfqj", epsilon=1e-4, kappa=1e-3,
+                                             max_cycles=10))
