@@ -22,8 +22,8 @@ from .cumulant import cumulant_decompose
 from .fermion import FermionGenerator, FermionOperator, bch_transform, excitation_rank
 from .hamiltonian import MolecularProblem
 from .jordan_wigner import jordan_wigner, jw_generator
-from .pauli import (PAULI_IDENTITY, PauliGenerator, PauliOperator,
-                    bch_transform_pauli, pauli_label, pauli_weight)
+from .pauli import (PauliGenerator, PauliOperator, bch_transform_pauli, pauli_label,
+                    pauli_weight)
 from .statevector import Circuit, GivensStep, StatevectorBackend
 from .trace import CycleRecord, RunTrace
 
@@ -227,8 +227,7 @@ def truncate(h, epsilon: float, n_electrons: int):
     |h| >= epsilon and lose rank > n_electrons outright.
     """
     if isinstance(h, PauliOperator):
-        return PauliOperator({k: c for k, c in h.terms.items()
-                              if k == PAULI_IDENTITY or abs(c) >= epsilon})
+        return h.subset(h.identity_mask() | (h.magnitudes() >= epsilon))
     kept = {}
     for key, coeff in h.terms.items():
         rank = excitation_rank(key)
@@ -306,8 +305,9 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
     Terminates on max_cycles, the residual-norm floor, an empty stochastic
     selection space, or a stretch of negligible energy changes.  Numerical
     failures (FloatingPointError, ValueError) of the residual, the selection,
-    the measurement or the conjugation raise QJRunError with the trace of the
-    cycles completed before; other exceptions propagate unchanged.
+    the measurement, the angle solve and merge or the conjugation raise
+    QJRunError with the trace of the cycles completed before; other exceptions
+    propagate unchanged.
     """
     config.validate()
     flavor = _FLAVOR[config.method]
@@ -386,8 +386,11 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
             block = measure_block(circuit, gen, energy, backend)
         except (FloatingPointError, ValueError) as exc:
             raise abort("backend", exc) from exc
-        theta, e_next = solve_givens(block)
-        grown, merged = merge_step(circuit, GivensStep(gen, theta), config.merge_threshold)
+        try:
+            theta, e_next = solve_givens(block)
+            grown, merged = merge_step(circuit, GivensStep(gen, theta), config.merge_threshold)
+        except (FloatingPointError, ValueError) as exc:
+            raise abort("angle", exc) from exc
         try:
             h_approx = transform_hamiltonian(h_approx, gen, theta, config, phi0)
         except (FloatingPointError, ValueError) as exc:

@@ -2,12 +2,23 @@
 
 A string is encoded per qubit as i^(x.z) X^x Z^z, so (0,0)=I, (1,0)=X,
 (0,1)=Z and (1,1)=Y.  Multiplication tracks the exact phase in {1,i,-1,-i}.
+
+A PauliOperator holds term-ordered arrays (``x``, ``z`` uint64 masks and
+complex ``coeffs``); conjugation, the per-determinant action and truncation are
+numpy passes over them.  Each product there has a unit-phase, real or purely
+imaginary factor, so each component is rounded once; outputs sum their
+contributions in term order and keep a term-by-term dict loop's insertion
+order, so results are bit-identical to that loop's.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 ZERO_FLOOR = 1e-14
 
@@ -15,6 +26,7 @@ PKey = tuple[int, int]
 PAULI_IDENTITY: PKey = (0, 0)
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_PHASE_TABLE = np.array(_PHASES)
 _CHARS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 
@@ -32,81 +44,112 @@ def pauli_multiply(p: PKey, q: PKey) -> tuple[PKey, complex]:
     return (x3, z3), _PHASES[e]
 
 
-def paulis_commute(p: PKey, q: PKey) -> bool:
-    """[p, q] = 0 iff the symplectic form of the masks is even."""
-    return ((p[0] & q[1]).bit_count() + (p[1] & q[0]).bit_count()) & 1 == 0
-
-
-def pauli_action_on_det(key: PKey, det: int) -> tuple[complex, int]:
-    """P|det> = phase |det XOR x>."""
-    x, z = key
-    phase = _PHASES[((x & z).bit_count() + 2 * (z & det).bit_count()) & 3]
-    return phase, det ^ x
-
-
 def pauli_label(key: PKey, n_qubits: int) -> str:
     """Character per qubit, qubit 0 leftmost."""
     x, z = key
     return "".join(_CHARS[(x >> q & 1, z >> q & 1)] for q in range(n_qubits))
 
 
+def _merge_first_seen(keys: tuple[np.ndarray, ...], vals: np.ndarray):
+    """Sum the values of equal keys in sequence order.
+
+    Returns the distinct keys and their sums, ordered by first occurrence, as
+    a dict filled in sequence order would hold them.
+    """
+    order = np.lexsort(keys[::-1])  # stable: equal keys keep sequence order
+    head = np.zeros(order.size, dtype=bool)
+    head[:1] = True
+    for k in keys:
+        ks = k[order]
+        head[1:] |= ks[1:] != ks[:-1]
+    sums = np.zeros(np.count_nonzero(head), dtype=vals.dtype)
+    np.add.at(sums, np.cumsum(head) - 1, vals[order])
+    firsts = order[head]
+    rank = np.argsort(firsts)
+    return tuple(k[firsts[rank]] for k in keys), sums[rank]
+
+
+class PauliTerms(Mapping):
+    """Read-only ``{(x, z): coeff}`` view of a PauliOperator, in term order.
+
+    ``len`` reads the array size; lookups build a dict on first use.
+    """
+
+    def __init__(self, op: "PauliOperator"):
+        self._op = op
+
+    def __len__(self) -> int:
+        return self._op.coeffs.size
+
+    def __iter__(self):
+        return zip(self._op.x.tolist(), self._op.z.tolist())
+
+    def __getitem__(self, key: PKey) -> complex:
+        return self._dict[key]
+
+    @cached_property
+    def _dict(self) -> dict[PKey, complex]:
+        return dict(zip(self, self._op.coeffs.tolist()))
+
+
 class PauliOperator:
-    """Weighted sum of Pauli strings; coefficients kept complex internally."""
+    """Weighted sum of distinct Pauli strings, held as read-only term-ordered
+    arrays ``x``, ``z`` (uint64 masks) and ``coeffs`` (complex)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[PKey, complex] | None = None):
-        self.terms: dict[PKey, complex] = dict(terms) if terms else {}
+    def __init__(self, terms: Mapping[PKey, complex] | None = None):
+        terms = terms or {}
+        n = len(terms)
+        self._set(np.fromiter((k[0] for k in terms), np.uint64, n),
+                  np.fromiter((k[1] for k in terms), np.uint64, n),
+                  np.fromiter(terms.values(), complex, n))
 
     @classmethod
-    def zero(cls) -> "PauliOperator":
-        return cls()
+    def from_arrays(cls, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> "PauliOperator":
+        """An operator over the given arrays; the strings must be distinct."""
+        op = cls.__new__(cls)
+        op._set(x, z, coeffs)
+        return op
 
-    @classmethod
-    def identity(cls, coefficient: complex = 1.0) -> "PauliOperator":
-        return cls({PAULI_IDENTITY: coefficient})
+    def _set(self, x, z, coeffs) -> None:
+        for a in (x, z, coeffs):
+            a.setflags(write=False)
+        self.x, self.z, self.coeffs = x, z, coeffs
+
+    @cached_property
+    def terms(self) -> PauliTerms:
+        return PauliTerms(self)
+
+    def identity_mask(self) -> np.ndarray:
+        return (self.x | self.z) == 0
+
+    def magnitudes(self) -> np.ndarray:
+        """|coeff| per string, computed as Python's ``abs(complex)`` does."""
+        return np.hypot(self.coeffs.real, self.coeffs.imag)
 
     def term_count(self) -> int:
         """Number of non-identity strings."""
-        return len(self.terms) - (1 if PAULI_IDENTITY in self.terms else 0)
+        return self.coeffs.size - int(np.count_nonzero(self.identity_mask()))
 
-    @property
-    def constant(self) -> complex:
-        return self.terms.get(PAULI_IDENTITY, 0.0 + 0.0j)
-
-    def copy(self) -> "PauliOperator":
-        return PauliOperator(self.terms)
-
-    def scaled(self, factor: complex) -> "PauliOperator":
-        return PauliOperator({k: factor * c for k, c in self.terms.items()})
-
-    def plus(self, other: "PauliOperator") -> "PauliOperator":
-        out = self.copy()
-        t = out.terms
-        for k, c in other.terms.items():
-            t[k] = t.get(k, 0.0) + c
-        return out.pruned()
+    def subset(self, keep: np.ndarray) -> "PauliOperator":
+        """The strings where ``keep`` holds, in term order."""
+        return PauliOperator.from_arrays(self.x[keep], self.z[keep], self.coeffs[keep])
 
     def pruned(self, floor: float = ZERO_FLOOR) -> "PauliOperator":
-        self.terms = {k: c for k, c in self.terms.items() if abs(c) > floor}
-        return self
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
-
-    def max_abs_imag(self) -> float:
-        return max((abs(c.imag) for c in self.terms.values()), default=0.0)
+        return self.subset(self.magnitudes() > floor)
 
     def act(self, det: int) -> dict[int, complex]:
-        """Sparse action on one determinant: {det': <det'|op|det>}, term order."""
-        out: dict[int, complex] = {}
-        for key, coeff in self.terms.items():
-            phase, d2 = pauli_action_on_det(key, det)
-            out[d2] = out.get(d2, 0.0) + coeff * phase
-        return out
+        """Sparse action on one determinant: {det': <det'|op|det>}.
+
+        P|det> = i^(popcount(x & z) + 2 popcount(z & det)) |det XOR x>; the
+        contributions to each det' add up in term order.
+        """
+        d = np.uint64(det)
+        e = (np.bitwise_count(self.x & self.z) + 2 * np.bitwise_count(self.z & d)) & 3
+        (targets,), sums = _merge_first_seen((self.x ^ d,), self.coeffs * _PHASE_TABLE[e])
+        return dict(zip(targets.tolist(), sums.tolist()))
 
     def __repr__(self) -> str:
-        return f"PauliOperator({len(self.terms)} strings)"
+        return f"PauliOperator({self.coeffs.size} strings)"
 
 
 @dataclass(frozen=True)
@@ -147,19 +190,29 @@ def bch_transform_pauli(op: PauliOperator, gen: PauliGenerator, theta: float,
     """Closed-form e^{-i theta P_g} H e^{i theta P_g}, term by term.
 
     Commuting strings pass through; anticommuting ones rotate as
-    cos(2 theta) P + i sin(2 theta) P P_g.
+    cos(2 theta) P + i sin(2 theta) P P_g.  The partner P P_g anticommutes with
+    P_g too, so an output string gets at most two contributions.
     """
     if theta == 0.0:
-        return op.copy()
-    g = gen.key
+        return op
+    gx, gz = np.uint64(gen.x_mask), np.uint64(gen.z_mask)
     cos2 = math.cos(2.0 * theta)
     isin2 = 1j * math.sin(2.0 * theta)
-    out: dict[PKey, complex] = {}
-    for key, h in op.terms.items():
-        if paulis_commute(key, g):
-            out[key] = out.get(key, 0.0) + h
-            continue
-        prod, phase = pauli_multiply(key, g)
-        out[key] = out.get(key, 0.0) + h * cos2
-        out[prod] = out.get(prod, 0.0) + h * isin2 * phase
-    return PauliOperator(out).pruned(floor)
+    x, z, h = op.x, op.z, op.coeffs
+    anti = ((np.bitwise_count(x & gz) + np.bitwise_count(z & gx)) & 1).astype(bool)
+    xa, za, ha = x[anti], z[anti], h[anti]
+    px, pz = xa ^ gx, za ^ gz
+    # pauli_multiply's phase exponent; uint8 wrap-around keeps it mod 4
+    e = (np.bitwise_count(xa & za) + np.bitwise_count(gx & gz) - np.bitwise_count(px & pz)
+         + 2 * np.bitwise_count(za & gx)) & 3
+    own = h.copy()
+    own[anti] = ha * cos2
+    # the sequence a dict loop would see: each string, then its partner
+    slot = np.arange(h.size) + np.cumsum(anti) - anti
+    size = h.size + xa.size
+    seq = [np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size, complex)]
+    for arr, mine, partner in zip(seq, (x, z, own), (px, pz, ha * isin2 * _PHASE_TABLE[e])):
+        arr[slot] = mine
+        arr[slot[anti] + 1] = partner
+    (x, z), coeffs = _merge_first_seen((seq[0], seq[1]), seq[2])
+    return PauliOperator.from_arrays(x, z, coeffs).pruned(floor)

@@ -7,9 +7,10 @@ e^{i theta P} = cos(theta) + i sin(theta) P.
 
 Each excitation or Pauli string acts through a determinant map (source and
 target indices, a +-1 sign) computed once per register size and cached; a
-backend compiles its Hamiltonian once into term-ordered sparse arrays.  Both
-keep the floating-point operations of the term-by-term action, so every value
-is bit-identical to it.
+backend compiles its Hamiltonian once into term-ordered sparse arrays for
+exact values, or into per-string gather tables in draw order for sampled
+ones.  All of them keep the floating-point operations of the term-by-term
+action, so every value is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .fermion import FermionGenerator, FermionOperator, Key, conjugate_key
 from .jordan_wigner import jordan_wigner
-from .pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
+from .pauli import PauliGenerator, PauliOperator
 
 _NORM_TOL = 1e-10
 _IMAG_TOL = 1e-10
@@ -67,8 +68,10 @@ def prepare_determinant(n_qubits: int, det: int) -> np.ndarray:
     return state
 
 
-# Maps per cache: room for a circuit's generators plus the 919 strings of a
-# sampled H6 Hamiltonian.
+# Determinant maps index the register with int32.
+_MAX_QUBITS = 32
+
+# Maps per cache: room for the generators of a long circuit.
 _MAP_CACHE_SIZE = 2048
 
 
@@ -117,9 +120,9 @@ def _excitation_map(key: Key, dim: int):
     return _read_only(*_excitation_entries(key, _register(dim)))
 
 
-def _pauli_parity(key, dets: np.ndarray) -> np.ndarray:
-    """+-1 from the Z part of the string, per determinant in ``dets``."""
-    zpar = np.bitwise_count(dets & np.uint64(key[1])) & np.uint8(1)
+def _pauli_parity(z, dets: np.ndarray) -> np.ndarray:
+    """+-1 from a string's Z mask ``z``, per determinant in ``dets``."""
+    zpar = np.bitwise_count(dets & np.uint64(z)) & np.uint8(1)
     return 1 - 2 * zpar.astype(np.int8)
 
 
@@ -133,7 +136,7 @@ def _pauli_map(key, dim: int):
     qubits, 640 MiB at 16.
     """
     src = _register(dim) ^ np.uint64(key[0])
-    return _read_only(src.astype(np.int32), _pauli_parity(key, src))
+    return _read_only(src.astype(np.int32), _pauli_parity(key[1], src))
 
 
 def _pauli_phase(key) -> complex:
@@ -147,12 +150,6 @@ def apply_excitation(state: np.ndarray, key: Key) -> np.ndarray:
     out = np.zeros_like(state)
     out[target] = sign * state[src]
     return out
-
-
-def apply_pauli_string(state: np.ndarray, key) -> np.ndarray:
-    """P . state with exact phases."""
-    src, factor = _pauli_map(key, state.shape[0])
-    return _pauli_phase(key) * factor * state[src]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,23 +205,32 @@ def _compile_fermionic(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
 def _compile_pauli(op: PauliOperator, dets: np.ndarray) -> SparseOperator:
     # the identity is one more string, so no separate constant
     parts = [((dets ^ np.uint64(key[0])).astype(np.int32), dets.astype(np.int32),
-              coeff * (_pauli_phase(key) * _pauli_parity(key, dets)))
+              coeff * (_pauli_phase(key) * _pauli_parity(key[1], dets)))
              for key, coeff in op.terms.items()]
     return _sparse(parts, 0.0)
 
 
 def _check_norm(state: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(state))
+    # np.linalg.norm's own formula for a complex vector, without its overhead
+    re, im = state.real, state.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))
     if abs(norm - 1.0) > _NORM_TOL:
         raise FloatingPointError(f"statevector norm drifted to {norm!r}")
     return state
 
 
 def apply_pauli_rotation(state: np.ndarray, gen: PauliGenerator, theta: float) -> np.ndarray:
-    """e^{i theta P} state = cos(theta) state + i sin(theta) P state."""
+    """e^{i theta P} state = cos(theta) state + i sin(theta) P state.
+
+    The string's phase joins the scalar i sin(theta): it and the +-1 factors
+    are unit factors, so the values equal those of i sin(theta) (P state).
+    """
     if theta == 0.0:
         return state.copy()
-    out = math.cos(theta) * state + 1j * math.sin(theta) * apply_pauli_string(state, gen.key)
+    key = gen.key
+    src, factor = _pauli_map(key, state.shape[0])
+    turn = 1j * math.sin(theta) * _pauli_phase(key)
+    out = math.cos(theta) * state + turn * (factor * state[src])
     return _check_norm(out)
 
 
@@ -267,9 +273,54 @@ def expectation_exact(op, state: np.ndarray) -> float:
     return val.real
 
 
-def sampling_order(op: PauliOperator) -> tuple:
-    """``op``'s (string, coefficient) pairs in expectation_sampled's draw order."""
-    return tuple(sorted(op.terms.items()))
+# Amplitudes of P.state formed at once by a sampled expectation value: the
+# block stays small, and caching every string's complex factors would not.
+_BLOCK_AMPLITUDES = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class SampledOperator:
+    """A Pauli operator compiled for sampling on one register size.
+
+    Row r is the r-th non-identity string in draw order (sorted by (x, z)),
+    (P s)[i] = phases[r] factor[r, i] s[src[r, i]], with the real coefficient
+    ``coeffs[r]``; ``constant`` is the identity's coefficient.
+    """
+
+    src: np.ndarray
+    factor: np.ndarray
+    phases: np.ndarray
+    coeffs: np.ndarray
+    constant: float
+
+    def means(self, state: np.ndarray) -> np.ndarray:
+        """<s|P|s> per row: one vdot per string, as for a lone P.state."""
+        rows = self.coeffs.size
+        step = max(1, _BLOCK_AMPLITUDES // state.shape[0])
+        means = np.empty(rows, dtype=complex)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            block = self.phases[lo:hi, None] * self.factor[lo:hi] * state[self.src[lo:hi]]
+            means[lo:hi] = [np.vdot(state, row) for row in block]
+        if np.any(np.abs(means.imag) > _IMAG_TOL):
+            raise FloatingPointError("Pauli expectation has imaginary residue")
+        return means.real
+
+
+def compile_sampled(op: PauliOperator, dim: int) -> SampledOperator:
+    """``op``'s strings in expectation_sampled's draw order, as gather tables."""
+    order = np.lexsort((op.z, op.x))
+    x, z, coeffs = op.x[order], op.z[order], op.coeffs[order]
+    if np.any(np.abs(coeffs.imag) > _IMAG_TOL):
+        raise ValueError("sampled operator must have real coefficients")
+    ident = (x | z) == 0
+    constant = float(coeffs[ident].real.sum())  # the one identity string, if any
+    x, z, coeffs = x[~ident], z[~ident], coeffs[~ident]
+    src = _register(dim)[None, :] ^ x[:, None]
+    factor = _pauli_parity(z[:, None], src)
+    phases = np.array([_pauli_phase(k) for k in zip(x.tolist(), z.tolist())], dtype=complex)
+    return SampledOperator(*_read_only(src.astype(np.int32), factor, phases, coeffs.real.copy()),
+                           constant)
 
 
 def expectation_sampled(op, state: np.ndarray, shots_per_term: int, rng) -> float:
@@ -278,26 +329,24 @@ def expectation_sampled(op, state: np.ndarray, shots_per_term: int, rng) -> floa
     Every non-identity string contributes the mean of ``shots_per_term``
     independent +-1 outcomes drawn with the exact probabilities; identity
     terms are added exactly.  The simulated budget is shots_per_term x term
-    count.  ``op`` is a PauliOperator or its ``sampling_order``.
+    count.  ``op`` is a PauliOperator or its ``compile_sampled`` form.  The
+    draws come from one binomial call over the strings in draw order, and the
+    total adds the contributions one by one in that order.
     """
     if shots_per_term < 1:
         raise ValueError("shots_per_term must be >= 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    terms = op if isinstance(op, tuple) else sampling_order(op)
-    total = 0.0
-    for key, coeff in terms:  # fixed draw order for reproducibility
-        if abs(coeff.imag) > _IMAG_TOL:
-            raise ValueError("sampled operator must have real coefficients")
-        if key == PAULI_IDENTITY:
-            total += coeff.real
-            continue
-        mean = complex(np.vdot(state, apply_pauli_string(state, key)))
-        if abs(mean.imag) > _IMAG_TOL:
-            raise FloatingPointError("Pauli expectation has imaginary residue")
-        p_up = min(1.0, max(0.0, 0.5 * (1.0 + mean.real)))
-        ups = int(rng.binomial(shots_per_term, p_up))
-        total += coeff.real * (2.0 * ups / shots_per_term - 1.0)
+    if not isinstance(op, SampledOperator):
+        op = compile_sampled(op, state.shape[0])
+    half = 0.5 * (1.0 + op.means(state))
+    # min(1, max(0, half)) as Python evaluates it, NaN going to 0
+    p_up = np.where(half > 0.0, half, 0.0)
+    p_up = np.where(p_up < 1.0, p_up, 1.0)
+    ups = rng.binomial(shots_per_term, p_up)
+    total = 0.0 + op.constant
+    for term in (op.coeffs * (2.0 * ups / shots_per_term - 1.0)).tolist():
+        total += term
     return total
 
 
@@ -322,6 +371,9 @@ class StatevectorBackend:
 
     def __init__(self, n_qubits: int, reference: int, hamiltonian,
                  shots_per_term: int | None = None, rng=None):
+        if n_qubits >= _MAX_QUBITS:
+            raise ValueError(f"a register of {n_qubits} qubits exceeds the "
+                             f"simulator's limit of {_MAX_QUBITS - 1}")
         self.n_qubits = n_qubits
         self.reference = reference
         self.hamiltonian = hamiltonian
@@ -330,7 +382,7 @@ class StatevectorBackend:
         self.expectation_count = 0
         self.shots_used = 0
         self._pauli_h: PauliOperator | None = None
-        self._strings: tuple | None = None
+        self._strings: SampledOperator | None = None
         register = _register(1 << n_qubits)
         in_sector = np.bitwise_count(register) == reference.bit_count()
         self._columns = register[in_sector]
@@ -364,6 +416,6 @@ class StatevectorBackend:
         if self.shots_per_term is None:
             return expectation_exact(self.exact_hamiltonian(state), state)
         if self._strings is None:
-            self._strings = sampling_order(self.pauli_hamiltonian())
+            self._strings = compile_sampled(self.pauli_hamiltonian(), 1 << self.n_qubits)
         self.shots_used += self.shots_per_term * self.pauli_hamiltonian().term_count()
         return expectation_sampled(self._strings, state, self.shots_per_term, self.rng)

@@ -129,6 +129,17 @@ class TestErrors:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("qjacobi-error: bad-flags:")
 
+    def test_register_too_large_for_simulator(self, tmp_path):
+        # 20 orbitals are 40 qubits: rejected before any register is allocated
+        big = tmp_path / "big.fcidump"
+        big.write_text("&FCI NORB=20,NELEC=2,MS2=0,&END\n 1.0 1 1 0 0\n 0.5 0 0 0 0\n")
+        code, out, err = run_cli(["run", "--fcidump", str(big), "--method", "cfqj",
+                                  "--skip-fci"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("qjacobi-error: invalid-input: a register of 40 qubits")
+
     def test_unreadable_file(self):
         code, out, err = run_cli(["fci", "--fcidump", "/no/such/file"])
         assert code == 2

@@ -243,6 +243,8 @@ class TestStageFailures:
         ("classical_residual", "residual_error", FloatingPointError),
         ("transform_hamiltonian", "conjugation_error", ValueError),
         ("select_deterministic", "selection_error", ValueError),
+        ("solve_givens", "angle_error", FloatingPointError),
+        ("merge_step", "angle_error", ValueError),
     ])
     def test_failure_at_cycle_three_keeps_partial_trace(self, h4, monkeypatch, stage, label,
                                                         error):

@@ -19,11 +19,17 @@ from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, StatevectorBackend,
                                  apply_circuit, apply_excitation,
                                  apply_fermionic_rotation, apply_pauli_rotation,
-                                 apply_pauli_string, compile_operator,
-                                 expectation_exact, expectation_sampled,
-                                 fidelity, prepare_determinant, sampling_order)
+                                 compile_operator, compile_sampled, expectation_exact,
+                                 expectation_sampled, fidelity, prepare_determinant)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def apply_pauli_string(state, key):
+    """P . state with the phase outside the map: the single-string kernel the
+    sampled estimator and the Pauli replay are checked against."""
+    src, factor = statevector._pauli_map(key, state.shape[0])
+    return statevector._pauli_phase(key) * factor * state[src]
 
 
 def term_loop(op, state):
@@ -45,6 +51,24 @@ def term_loop(op, state):
 
 def oracle_expectation(op, state):
     return complex(np.vdot(state, term_loop(op, state))).real
+
+
+def sampled_loop(op, state, shots_per_term, rng):
+    """The per-string sampling loop: the oracle for the compiled estimator."""
+    total = 0.0
+    for key, coeff in sorted(op.terms.items()):
+        if abs(coeff.imag) > 1e-10:
+            raise ValueError("sampled operator must have real coefficients")
+        if key == PAULI_IDENTITY:
+            total += coeff.real
+            continue
+        mean = complex(np.vdot(state, apply_pauli_string(state, key)))
+        if abs(mean.imag) > 1e-10:
+            raise FloatingPointError("Pauli expectation has imaginary residue")
+        p_up = min(1.0, max(0.0, 0.5 * (1.0 + mean.real)))
+        ups = int(rng.binomial(shots_per_term, p_up))
+        total += coeff.real * (2.0 * ups / shots_per_term - 1.0)
+    return total
 
 
 class TestPrepare:
@@ -69,7 +93,6 @@ class TestPauliRotation:
 
     def test_x_half_turn(self):
         # e^{i (pi/2) X} |0> = i |1> (raw string; generators proper carry a Y)
-        from qjacobi.statevector import apply_pauli_string
         s = prepare_determinant(1, 0)
         out = math.cos(math.pi / 2) * s + 1j * math.sin(math.pi / 2) * apply_pauli_string(s, (1, 0))
         assert abs(out[1] - 1j) < 1e-12
@@ -87,6 +110,17 @@ class TestPauliRotation:
         a = apply_pauli_rotation(apply_pauli_rotation(s, gen, t1), gen, t2)
         b = apply_pauli_rotation(s, gen, t1 + t2)
         assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.77, -2.1, math.pi / 2])
+    def test_bit_identical_to_string_product(self, theta):
+        # the phase folded into the scalar gives the values of i sin P.state
+        gen = PauliGenerator(0b1101, 0b0100)
+        s = _random_state(4, 3)
+        out = apply_pauli_rotation(s, gen, theta)
+        old = math.cos(theta) * s + 1j * math.sin(theta) * apply_pauli_string(s, gen.key)
+        assert np.array_equal(out, old)
+        assert float(np.linalg.norm(old)) == math.sqrt(
+            out.real.dot(out.real) + out.imag.dot(out.imag))
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(0)
@@ -187,7 +221,7 @@ class TestSampled:
         s = apply_fermionic_rotation(prepare_determinant(h2.n_qubits, h2.hf_determinant),
                                      FermionGenerator.from_determinants(0b0011, 0b1100), 0.4)
         assert (expectation_sampled(hp, s, 500, rng=5)
-                == expectation_sampled(sampling_order(hp), s, 500, rng=5))
+                == expectation_sampled(compile_sampled(hp, s.size), s, 500, rng=5))
 
     def test_seed_reproducible(self, h2):
         hp = jordan_wigner(h2.hamiltonian)
@@ -217,6 +251,61 @@ class TestSampled:
         hi = np.std([expectation_sampled(hp, s, 100000, rng=seed + 10_000) for seed in range(200)], ddof=1)
         assert lo / hi == pytest.approx(10.0, rel=0.2)
 
+    def test_complex_coefficient_rejected(self):
+        op = PauliOperator({(0, 0b01): 0.25 + 0.5j})
+        with pytest.raises(ValueError):
+            expectation_sampled(op, prepare_determinant(2, 0), 10, rng=0)
+
+
+@st.composite
+def sampled_cases(draw):
+    """A real-coefficient Pauli operator on <= 6 qubits and a state: random,
+    or a determinant, where Z strings give p_up of exactly 0 or 1."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    keys = draw(st.lists(st.tuples(masks, masks), unique=True, max_size=20))
+    terms = {k: complex(draw(st.floats(-2.0, 2.0))) for k in keys}
+    if draw(st.booleans()):
+        state = prepare_determinant(n, draw(masks))
+    else:
+        state = _random_state(n, draw(st.integers(0, 2**32 - 1)))
+    return PauliOperator(terms), state
+
+
+class TestSampledMatchesLoop:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(sampled_cases(), st.sampled_from([1, 3, 1000]), st.integers(0, 2**32 - 1))
+    def test_total_and_stream_equal(self, case, shots, seed):
+        op, state = case
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (expectation_sampled(op, state, shots, rng)
+                == sampled_loop(op, state, shots, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_probabilities_zero_and_one(self):
+        # |01>: Z0 reads -1 (p_up 0), Z1 reads +1 (p_up 1), X0 reads 0 (p_up 1/2)
+        op = PauliOperator({(0, 0b01): 0.7, (0, 0b10): -0.3, (0b01, 0): 0.2, (0, 0): 1.5})
+        state = prepare_determinant(2, 0b01)
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        table = compile_sampled(op, state.size)
+        assert sorted(0.5 * (1.0 + table.means(state))) == [0.0, 0.5, 1.0]
+        for _ in range(5):
+            assert (expectation_sampled(table, state, 100, rng)
+                    == sampled_loop(op, state, 100, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_h4_hamiltonian(self, h4):
+        hp = jordan_wigner(h4.hamiltonian)
+        circuit = _circuit(h4, "pauli")
+        backend = StatevectorBackend(h4.n_qubits, h4.hf_determinant, h4.hamiltonian,
+                                     shots_per_term=1000, rng=11)
+        oracle_rng = np.random.default_rng(11)
+        for steps in range(len(circuit) + 1):
+            part = Circuit(circuit.steps[:steps])
+            assert (backend.expectation(part)
+                    == sampled_loop(hp, backend.state(part), 1000, oracle_rng))
+        assert backend.rng.bit_generator.state == oracle_rng.bit_generator.state
+
 
 class TestFidelity:
     def test_self(self):
@@ -238,6 +327,11 @@ class TestBackend:
         backend.expectation(Circuit())
         assert backend.expectation_count == 2
         assert backend.shots_used == 0
+
+    def test_register_limit(self):
+        # int32 determinant maps index at most 31 qubits
+        with pytest.raises(ValueError, match="32 qubits"):
+            StatevectorBackend(32, 0b11, FermionOperator())
 
     def test_shot_accounting(self, h2):
         backend = StatevectorBackend(h2.n_qubits, h2.hf_determinant, h2.hamiltonian,
