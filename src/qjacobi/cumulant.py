@@ -9,39 +9,32 @@ two-body, or earlier when no spectators remain.
 
 from __future__ import annotations
 
-from .fermion import FermionOperator, Key, ZERO_FLOOR, classify_indices, excitation_rank
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from .fermion import ZERO_FLOOR, FermionOperator
+from .pauli import _merge_first_seen
 
 
-def _block_sign(pure: tuple[int, ...], spectators: tuple[int, ...]) -> int:
-    # parity of sorting the written order (pure block, spectator block)
-    inv = 0
-    for r in spectators:
-        for p in pure:
-            if p > r:
-                inv += 1
-    return -1 if inv & 1 else 1
+@lru_cache(maxsize=64)
+def _leaf_template(spectators: int, leaf_size: int) -> np.ndarray:
+    """Leaves of the removal recursion, in its depth-first order.
 
-
-def _factored_sign(pure_cre, pure_ann, spectators) -> int:
-    """Sign relating the canonical key to its pure x spectator factored form."""
-    return _block_sign(pure_cre, spectators) * _block_sign(pure_ann, spectators)
-
-
-def _emit(out: dict[Key, float], pure_cre, pure_ann, spectators, coeff: float):
-    cre = tuple(sorted(pure_cre + spectators))
-    ann = tuple(sorted(pure_ann + spectators))
-    out[(cre, ann)] = out.get((cre, ann), 0.0) + coeff * _factored_sign(pure_cre, pure_ann, spectators)
-
-
-def _contract(out: dict[Key, float], pure_cre, pure_ann, spectators, coeff: float):
-    rank = len(pure_cre) + len(spectators)
-    if rank <= 2 or not spectators:
-        _emit(out, pure_cre, pure_ann, spectators, coeff)
-        return
-    l = len(spectators)
-    w = coeff / l
-    for j in range(l):
-        _contract(out, pure_cre, pure_ann, spectators[:j] + spectators[j + 1:], w)
+    Row i marks (with 1) the spectator positions, in ascending index order,
+    that the i-th leaf keeps: removing one spectator at a time, position j
+    before j + 1, until ``leaf_size`` remain.  Every ordering of the removals
+    is a leaf, so a kept set recurs (spectators - leaf_size)! times.
+    """
+    leaves = [tuple(range(spectators))]
+    for _ in range(spectators - leaf_size):
+        leaves = [kept[:j] + kept[j + 1:] for kept in leaves for j in range(len(kept))]
+    template = np.zeros((len(leaves), spectators), dtype=np.uint64)
+    for i, kept in enumerate(leaves):
+        template[i, list(kept)] = 1
+    template.setflags(write=False)
+    return template
 
 
 def cumulant_decompose(op: FermionOperator, kappa: float, reference: int,
@@ -52,19 +45,50 @@ def cumulant_decompose(op: FermionOperator, kappa: float, reference: int,
     reference are dropped outright (their contraction vanishes on the HF
     state).  The HF expectation value of every surviving term is preserved
     exactly by the 1/l weights.
+
+    A decomposed term moves to the factored (pure block, spectator block)
+    form, whose sign has the parity of the (pure index, spectator) pairs with
+    the pure index above; each leaf divides by l, l-1, ... in the
+    recursion's order and folds its own sign back.  Outputs sum their
+    contributions in the order of a term-by-term, depth-first dict loop.
     """
-    out: dict[Key, float] = {}
-    for key, h in op.terms.items():
-        if excitation_rank(key) <= 2 or abs(h) >= kappa:
-            out[key] = out.get(key, 0.0) + h
-            continue
-        pure_cre, pure_ann, spectators = classify_indices(key)
-        if not spectators:
-            out[key] = out.get(key, 0.0) + h
-            continue
-        if any(not reference >> r & 1 for r in spectators):
-            continue
-        # move to the factored E^{pure,spect} form, contract, fold signs back
-        h_factored = h * _factored_sign(pure_cre, pure_ann, spectators)
-        _contract(out, pure_cre, pure_ann, spectators, h_factored)
-    return FermionOperator(out, op.constant).pruned(floor)
+    cre, ann, h = op.cre, op.ann, op.coeffs
+    spect = cre & ann
+    n_spect = np.bitwise_count(spect).astype(np.int64)
+    n_pure = np.bitwise_count(cre).astype(np.int64) - n_spect
+    split = (n_pure + n_spect > 2) & ~(np.abs(h) >= kappa) & (n_spect > 0)
+    contract = split & ((spect & ~np.uint64(reference)) == 0)
+    leaf_size = np.maximum(2 - n_pure, 0)
+
+    count = (~split).astype(np.int64)
+    count[contract] = [math.perm(l, l - t) for l, t in
+                       zip(n_spect[contract].tolist(), leaf_size[contract].tolist())]
+    slot = np.cumsum(count) - count
+    seq = [np.empty(count.sum(), np.uint64), np.empty(count.sum(), np.uint64),
+           np.empty(count.sum())]
+    for arr, vals in zip(seq, (cre, ann, h)):
+        arr[slot[~split]] = vals[~split]
+
+    for l, t in set(zip(n_spect[contract].tolist(), leaf_size[contract].tolist())):
+        idx = np.flatnonzero(contract & (n_spect == l) & (leaf_size == t))
+        template = _leaf_template(l, t)
+        rest = spect[idx]
+        bits = np.empty((idx.size, l), dtype=np.uint64)
+        for j in range(l):
+            bits[:, j] = rest & (~rest + np.uint64(1))
+            rest = rest ^ bits[:, j]
+        pure = (cre ^ ann)[idx]
+        # per spectator: parity of the pure indices above it
+        odd = np.bitwise_count(pure[:, None] & ~((bits << np.uint64(1)) - np.uint64(1))) & 1
+        value = np.where(odd.sum(1) & 1, -h[idx], h[idx])
+        for divisor in range(l, t, -1):
+            value = value / divisor
+        leaf_masks = bits @ template.T
+        leaf_odd = (odd.astype(np.uint64) @ template.T) & np.uint64(1)
+        pos = slot[idx][:, None] + np.arange(template.shape[0])
+        seq[0][pos] = (cre ^ spect)[idx][:, None] | leaf_masks
+        seq[1][pos] = (ann ^ spect)[idx][:, None] | leaf_masks
+        seq[2][pos] = np.where(leaf_odd, -value[:, None], value[:, None])
+
+    (cre, ann), coeffs = _merge_first_seen((seq[0], seq[1]), seq[2])
+    return FermionOperator.from_arrays(cre, ann, coeffs, op.constant).pruned(floor)

@@ -101,10 +101,3 @@ def fci_ground_state(problem: MolecularProblem, sz: float | None = 0.0):
     energy, vec = ground_state(dense_matrix(problem.hamiltonian, problem.n_qubits, basis))
     return energy, vec, basis
 
-
-def embed_in_full_space(vector: np.ndarray, basis: DeterminantBasis, n_qubits: int) -> np.ndarray:
-    """Lift a sector vector onto the full 2^n statevector."""
-    full = np.zeros(1 << n_qubits, dtype=complex)
-    for amp, det in zip(vector, basis.determinants):
-        full[det] = amp
-    return full

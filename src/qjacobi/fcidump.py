@@ -8,6 +8,7 @@ permutation group.  Conflicting duplicate entries are rejected.
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -55,8 +56,8 @@ def parse_fcidump(source) -> FCIDumpData:
     """Parse FCIDUMP text from a string, path-like or file object.
 
     Raises FCIDumpError with a line number for malformed or inconsistent
-    headers, non-numeric fields, out-of-range indices or symmetry-conflicting
-    duplicates.
+    headers, non-numeric or non-finite fields, out-of-range indices or
+    symmetry-conflicting duplicates.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -126,6 +127,8 @@ def parse_fcidump(source) -> FCIDumpData:
             i, j, k, l = (int(t) for t in toks[1:])
         except ValueError as exc:
             raise FCIDumpError(f"line {ln}: non-numeric field in {raw.strip()!r}") from exc
+        if not math.isfinite(value):
+            raise FCIDumpError(f"line {ln}: non-finite value in {raw.strip()!r}")
         for idx in (i, j, k, l):
             if idx < 0 or idx > norb:
                 raise FCIDumpError(f"line {ln}: orbital index {idx} out of range 0..{norb}")

@@ -9,17 +9,30 @@ unique representation.
 
 Only particle-number conserving terms are representable; everything produced
 by products and commutators of such terms stays in this class.
+
+A FermionOperator holds term-ordered arrays: uint64 creation and annihilation
+masks ``cre``/``ann``, float64 ``coeffs``, plus a ``constant``.  Conjugation,
+cumulant compression, truncation and the per-determinant action are numpy
+passes over them.  Every output value is formed with the roundings of a
+term-by-term dict loop, and outputs sum their contributions in that loop's
+order and keep its insertion order (``pauli._merge_first_seen``), so results
+are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
+import numpy as np
+
+from .pauli import TermsView, _merge_first_seen
+
 ZERO_FLOOR = 1e-14
+MAX_MODES = 64  # masks are uint64
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 IDENTITY_KEY: Key = ((), ())
@@ -38,28 +51,21 @@ def _mask(indices: Iterable[int]) -> int:
     return mask
 
 
+def _indices(mask: int) -> tuple[int, ...]:
+    """Ascending indices of the set bits of ``mask``."""
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
+def _below_parity(masks: np.ndarray) -> np.ndarray:
+    """Bit p set where ``masks`` has an odd number of set bits below p."""
+    x = masks << np.uint64(1)
+    for shift in (1, 2, 4, 8, 16, 32):
+        x ^= x << np.uint64(shift)
+    return x
+
+
 def key_support(key: Key) -> int:
     return _mask(key[0]) | _mask(key[1])
-
-
-def excitation_rank(key: Key) -> int:
-    """Number of creation (= annihilation) operators in the term."""
-    return len(key[0])
-
-
-def classify_indices(key: Key) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Split a key into (pure creations, pure annihilations, spectators).
-
-    Spectator indices appear in both the creation and annihilation parts and
-    carry no net excitation; rank = #pure pairs + #spectators.
-    """
-    cre, ann = key
-    ann_set = set(ann)
-    cre_set = set(cre)
-    spectators = tuple(q for q in cre if q in ann_set)
-    pure_cre = tuple(q for q in cre if q not in ann_set)
-    pure_ann = tuple(q for q in ann if q not in cre_set)
-    return pure_cre, pure_ann, spectators
 
 
 def key_events(key: Key) -> tuple[int, ...]:
@@ -155,73 +161,105 @@ def term_product(key_a: Key, key_b: Key) -> tuple[tuple[Key, int], ...]:
     return tuple((k, c) for k, c in out.items() if c)
 
 
+def _mask_array(masks: list[int]) -> np.ndarray:
+    if masks and max(masks) >> MAX_MODES:
+        raise ValueError(f"fermionic operators support at most {MAX_MODES} modes")
+    return np.array(masks, dtype=np.uint64)
+
+
 class FermionOperator:
-    """Real linear combination of canonical excitation terms plus a constant."""
+    """Real linear combination of canonical excitation terms plus a constant,
+    held as read-only term-ordered arrays ``cre``, ``ann`` (uint64 masks) and
+    ``coeffs`` (float64); the keys are distinct and the identity is the
+    ``constant``."""
 
-    __slots__ = ("terms", "constant")
+    def __init__(self, terms: Mapping[Key, float] | None = None, constant: float = 0.0):
+        terms = terms or {}
+        self._set(_mask_array([_mask(k[0]) for k in terms]),
+                  _mask_array([_mask(k[1]) for k in terms]),
+                  np.fromiter(terms.values(), float, len(terms)), constant)
 
-    def __init__(self, terms: dict[Key, float] | None = None, constant: float = 0.0):
-        self.terms: dict[Key, float] = dict(terms) if terms else {}
+    @classmethod
+    def from_arrays(cls, cre: np.ndarray, ann: np.ndarray, coeffs: np.ndarray,
+                    constant: float = 0.0) -> "FermionOperator":
+        """An operator over the given arrays; the keys must be distinct."""
+        op = cls.__new__(cls)
+        op._set(cre, ann, coeffs, constant)
+        return op
+
+    def _set(self, cre, ann, coeffs, constant) -> None:
+        for a in (cre, ann, coeffs):
+            a.setflags(write=False)
+        self.cre, self.ann, self.coeffs = cre, ann, coeffs
         self.constant = float(constant)
 
-    @classmethod
-    def zero(cls) -> "FermionOperator":
-        return cls()
+    def _keys(self):
+        return zip(map(_indices, self.cre.tolist()), map(_indices, self.ann.tolist()))
 
-    @classmethod
-    def identity(cls, coefficient: float = 1.0) -> "FermionOperator":
-        return cls(constant=coefficient)
+    @cached_property
+    def terms(self) -> TermsView:
+        return TermsView(self)
 
     def term_count(self) -> int:
         """Number of stored keys; the identity constant is not counted."""
-        return len(self.terms)
+        return self.coeffs.size
 
-    def copy(self) -> "FermionOperator":
-        return FermionOperator(self.terms, self.constant)
-
-    def scaled(self, factor: float) -> "FermionOperator":
-        return FermionOperator({k: factor * c for k, c in self.terms.items()}, factor * self.constant)
-
-    def plus(self, other: "FermionOperator") -> "FermionOperator":
-        out = self.copy()
-        out.constant += other.constant
-        t = out.terms
-        for k, c in other.terms.items():
-            t[k] = t.get(k, 0.0) + c
-        return out.pruned()
+    def subset(self, keep: np.ndarray) -> "FermionOperator":
+        """The terms where ``keep`` holds, in term order, and the constant."""
+        return FermionOperator.from_arrays(self.cre[keep], self.ann[keep], self.coeffs[keep],
+                                           self.constant)
 
     def pruned(self, floor: float = ZERO_FLOOR) -> "FermionOperator":
-        """Drop exact-arithmetic dust below ``floor`` (in place, returns self)."""
-        self.terms = {k: c for k, c in self.terms.items() if abs(c) > floor}
-        if abs(self.constant) <= floor:
-            self.constant = 0.0
-        return self
+        """Drop exact-arithmetic dust at or below ``floor``, the constant too."""
+        out = self.subset(np.abs(self.coeffs) > floor)
+        if abs(out.constant) <= floor:
+            out.constant = 0.0
+        return out
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        for k, c in self.terms.items():
-            if abs(c - self.terms.get(conjugate_key(k), 0.0)) > tol:
+        terms = self.terms
+        for k, c in terms.items():
+            if abs(c - terms.get(conjugate_key(k), 0.0)) > tol:
                 return False
         return True
-
-    def max_rank(self) -> int:
-        return max((len(k[0]) for k in self.terms), default=0)
 
     def act(self, det: int) -> dict[int, float]:
         """Sparse action on one determinant: {det': <det'|op|det>}.
 
         The constant is entered at ``det`` first, then every term adds its
-        signed coefficient in term order.
+        coefficient, signed as ``apply_key_to_det`` signs it, in term order.
+        That sign's parity is the number of (creation, annihilation) pairs
+        with the annihilation below, plus k(k-1)/2 for k annihilations, plus
+        the occupied modes of ``det`` below each acted index.
         """
-        out = {det: self.constant}
-        for key, coeff in self.terms.items():
-            res = apply_key_to_det(key, det)
-            if res is not None:
-                sign, d2 = res
-                out[d2] = out.get(d2, 0.0) + coeff * sign
-        return out
+        d = np.uint64(det)
+        cre, ann = self.cre, self.ann
+        hit = np.flatnonzero(((ann & ~d) == 0) & ((cre & d & ~ann) == 0))
+        cre, ann, coeffs = cre[hit], ann[hit], self.coeffs[hit]
+        parity = (np.bitwise_count(cre & _below_parity(ann)) + (np.bitwise_count(ann) >> 1)
+                  + np.bitwise_count((cre ^ ann) & _below_parity(d)))
+        (targets,), sums = _merge_first_seen(
+            (np.concatenate(([d], (d & ~ann) | cre)),),
+            np.concatenate(([self.constant], np.where(parity & 1, -coeffs, coeffs))))
+        return dict(zip(targets.tolist(), sums.tolist()))
 
     def __repr__(self) -> str:
         return f"FermionOperator({self.term_count()} terms, constant={self.constant:+.6g})"
+
+
+def normal_order_terms(events: Iterable[tuple[int, bool]],
+                       coefficient: float = 1.0) -> tuple[dict[Key, float], float]:
+    """``normal_order`` as a ``(terms, constant)`` pair of plain values."""
+    enc = tuple((int(q) << 1) | (1 if c else 0) for q, c in events)
+    terms: dict[Key, float] = {}
+    constant = 0.0
+    for key, c in _reorder(enc):
+        if key == IDENTITY_KEY:
+            constant += coefficient * c
+        else:
+            terms[key] = terms.get(key, 0.0) + coefficient * c
+    terms = {k: c for k, c in terms.items() if abs(c) > ZERO_FLOOR}
+    return terms, (0.0 if abs(constant) <= ZERO_FLOOR else constant)
 
 
 def normal_order(events: Iterable[tuple[int, bool]], coefficient: float = 1.0) -> FermionOperator:
@@ -230,39 +268,7 @@ def normal_order(events: Iterable[tuple[int, bool]], coefficient: float = 1.0) -
     Anticommutator contractions generate the lower-rank terms; the result is
     canonical and the function is idempotent on already-canonical input.
     """
-    enc = tuple((int(q) << 1) | (1 if c else 0) for q, c in events)
-    op = FermionOperator()
-    for key, c in _reorder(enc):
-        if key == IDENTITY_KEY:
-            op.constant += coefficient * c
-        else:
-            op.terms[key] = op.terms.get(key, 0.0) + coefficient * c
-    return op.pruned()
-
-
-def multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
-    """Normal-ordered operator product, coefficients combined exactly."""
-    out = FermionOperator(constant=a.constant * b.constant)
-    t = out.terms
-    if b.constant:
-        for k, c in a.terms.items():
-            t[k] = t.get(k, 0.0) + c * b.constant
-    if a.constant:
-        for k, c in b.terms.items():
-            t[k] = t.get(k, 0.0) + c * a.constant
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            w = ca * cb
-            for k, c in term_product(ka, kb):
-                if k == IDENTITY_KEY:
-                    out.constant += w * c
-                else:
-                    t[k] = t.get(k, 0.0) + w * c
-    return out.pruned()
-
-
-def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
-    return multiply(a, b).plus(multiply(b, a).scaled(-1.0))
+    return FermionOperator(*normal_order_terms(events, coefficient))
 
 
 def apply_key_to_det(key: Key, det: int):
@@ -313,14 +319,6 @@ class FermionGenerator:
         if self.sign not in (-1, 1):
             raise ValueError("generator sign must be +1 or -1")
 
-    def operator(self) -> FermionOperator:
-        """The anti-Hermitian A = E - E+ as a FermionOperator."""
-        return FermionOperator({self.excitation: float(self.sign),
-                                conjugate_key(self.excitation): -float(self.sign)})
-
-    def rank(self) -> int:
-        return len(self.excitation[0])
-
     @classmethod
     def from_determinants(cls, reference: int, target: int) -> "FermionGenerator":
         """Build the pure excitation mapping ``reference`` to ``target``.
@@ -344,44 +342,15 @@ class FermionGenerator:
 # Closed-form single-generator conjugation e^{-theta A} E_i e^{theta A}.
 #
 # Each generator keeps a table from R-patterns to R-local commutators, built
-# with the Wick algebra once per pattern, and a per-key memo in front of it;
-# repeated generators (angle merging, stochastic re-picks) then reduce the
-# transform to dictionary merges.
+# with the Wick algebra once per pattern; repeated generators (angle merging,
+# stochastic re-picks) then reduce the transform to array passes and a merge.
 # ---------------------------------------------------------------------------
 
-_GEN_CACHE_MAX = 32
-_GEN_CACHES: "OrderedDict[tuple[Key, int], dict]" = OrderedDict()
-_MISSING = object()
-
-
+@lru_cache(maxsize=32)
 def _gen_cache(gen: FermionGenerator) -> dict:
-    gid = (gen.excitation, gen.sign)
-    cache = _GEN_CACHES.get(gid)
-    if cache is None:
-        cache = {
-            "gkey": gen.excitation,
-            "gsign": gen.sign,
-            "support": key_support(gen.excitation),
-            "table": {},
-            "struct": {},
-        }
-        _GEN_CACHES[gid] = cache
-        if len(_GEN_CACHES) > _GEN_CACHE_MAX:
-            _GEN_CACHES.popitem(last=False)
-    else:
-        _GEN_CACHES.move_to_end(gid)
-    return cache
-
-
-@lru_cache(maxsize=1 << 14)
-def _bits(mask: int) -> tuple[int, ...]:
-    """Ascending indices of the set bits of ``mask``."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """The generator's pattern table, filled as patterns are met."""
+    return {"gkey": gen.excitation, "gsign": gen.sign, "support": key_support(gen.excitation),
+            "ids": {}, "patterns": [], "rows": []}
 
 
 def _comm_with_gen(key: Key, cache: dict) -> tuple[tuple[Key, int], ...]:
@@ -403,134 +372,132 @@ def _pattern_entry(cre_r: int, ann_r: int, cache: dict):
     c1 = [E_R,A] and c2 = [[E_R,A],A] list R-local terms as
     ``(cre_mask, ann_mask, int coeff)``, in the Wick algebra's output order.
     """
-    table = cache["table"]
-    entry = table.get((cre_r, ann_r), _MISSING)
-    if entry is not _MISSING:
-        return entry
-    c1 = _comm_with_gen((_bits(cre_r), _bits(ann_r)), cache)
+    c1 = _comm_with_gen((_indices(cre_r), _indices(ann_r)), cache)
     if not c1:
-        entry = None
-    else:
-        acc2: dict[Key, int] = {}
-        for k, c in c1:
-            for kk, cc in _comm_with_gen(k, cache):
-                acc2[kk] = acc2.get(kk, 0) + c * cc
-        flip = cre_r ^ ann_r
-        entry = (flip not in (0, cache["support"]),
-                 tuple((_mask(k[0]), _mask(k[1]), c) for k, c in c1),
-                 tuple((_mask(k[0]), _mask(k[1]), c) for k, c in acc2.items() if c))
-    table[(cre_r, ann_r)] = entry
-    return entry
+        return None
+    acc2: dict[Key, int] = {}
+    for k, c in c1:
+        for kk, cc in _comm_with_gen(k, cache):
+            acc2[kk] = acc2.get(kk, 0) + c * cc
+    flip = cre_r ^ ann_r
+    return (flip not in (0, cache["support"]),
+            tuple((_mask(k[0]), _mask(k[1]), c) for k, c in c1),
+            tuple((_mask(k[0]), _mask(k[1]), c) for k, c in acc2.items() if c))
 
 
-def _front_signs(support: int, cre_rest: int, ann_rest: int) -> tuple[int, int]:
-    """Odd-move masks over R for keys whose operators outside R are fixed.
+def _pattern_table(patterns: list[tuple[int, int]], cache: dict):
+    """Ids of ``patterns`` in the generator's table, and the table as CSR.
 
-    A canonical key is written creations ascending, annihilations descending.
-    Moving its R operators to the front (order E_R E_rest) passes, for a
-    creation x in R, the rest creations below x; for an annihilation x in R,
-    the rest annihilations above x and then every rest creation.  Bit x of
-    the creation (annihilation) mask is set when that count is odd, so the
-    sign sigma of an R-pattern (cre_r, ann_r) has the parity of
-    popcount(cre_r & cre_odd) + popcount(ann_r & ann_odd).
+    Patterns not seen before are tabulated first.  The table holds per id
+    ``(linear, start, length)`` and per row ``(f_cre, f_ann, coeff,
+    second)``: an entry's c1 rows, then its c2 rows (``second`` set); a
+    pattern commuting with A has no rows.
     """
-    cre_odd = ann_odd = 0
-    m = support
-    while m:
-        low = m & -m
-        if (cre_rest & (low - 1)).bit_count() & 1:
-            cre_odd |= low
-        if (ann_rest & -low).bit_count() & 1:  # R and rest share no bit
-            ann_odd |= low
-        m ^= low
-    if cre_rest.bit_count() & 1:
-        ann_odd ^= support
-    return cre_odd, ann_odd
-
-
-def _attach(local, parity: int, cre_rest: int, ann_rest: int, cre_odd: int,
-            ann_odd: int) -> tuple[tuple[Key, int], ...]:
-    """Canonical keys and signs of sigma(E) F_j E_rest for R-local terms F_j."""
-    out = []
-    for f_cre, f_ann, c in local:
-        p = parity + (f_cre & cre_odd).bit_count() + (f_ann & ann_odd).bit_count()
-        out.append(((_bits(f_cre | cre_rest), _bits(f_ann | ann_rest)), -c if p & 1 else c))
-    return tuple(out)
-
-
-def _bch_structure(key: Key, cache: dict):
-    """(linear_case, [E,A], [[E,A],A]) for one key, or None if [E,A] = 0.
-
-    A is even and acts only on its support R = P u Q (P its creation, Q its
-    annihilation indices), so with E = sigma(E) E_R E_rest, sigma the sign of
-    moving the R operators to the front (``_front_signs``), E_rest commutes
-    with A and [E,A] = sigma(E) [E_R,A] E_rest.  [E_R,A] and [[E_R,A],A] come
-    from the table entry of E's R-pattern (cre & R, ann & R); each R-local
-    output F_j maps to F_j E_rest = sigma(F_j u rest) canonical(F_j u rest).
-
-    ``linear_case`` picks the closed form from how E's indices overlap R.  A
-    rotates only the determinants whose R-bits read Q occupied, P empty, or
-    the reverse; on all others it vanishes.  E flips exactly the R-bits in
-    F = (cre mask ^ ann mask) & R.  With F = 0 or F = R, E maps rotating
-    determinants to rotating ones (and inert to inert), so A [E,A] A != 0
-    and the double-angle form holds.  With any other F, E maps rotating
-    determinants to inert ones and back, so A [E,A] A = 0 and the
-    sin / (1 - cos) form holds.
-    """
-    struct = cache["struct"].get(key, _MISSING)
-    if struct is not _MISSING:
-        return struct
-    support = cache["support"]
-    cre, ann = _mask(key[0]), _mask(key[1])
-    cre_r, ann_r = cre & support, ann & support
-    entry = _pattern_entry(cre_r, ann_r, cache) if cre_r | ann_r else None
-    if entry is None:
-        struct = None
-    else:
-        linear_case, c1, c2 = entry
-        cre_rest, ann_rest = cre ^ cre_r, ann ^ ann_r
-        cre_odd, ann_odd = _front_signs(support, cre_rest, ann_rest)
-        parity = (cre_r & cre_odd).bit_count() + (ann_r & ann_odd).bit_count()
-        rest = (cre_rest, ann_rest, cre_odd, ann_odd)
-        struct = (linear_case, _attach(c1, parity, *rest), _attach(c2, parity, *rest))
-    cache["struct"][key] = struct
-    return struct
+    ids = cache["ids"]
+    new = list(dict.fromkeys(p for p in patterns if p not in ids))
+    if new or "arrays" not in cache:
+        for p in new:
+            ids[p] = len(ids)
+            entry = _pattern_entry(*p, cache)
+            linear, c1, c2 = entry or (False, (), ())
+            cache["patterns"].append((linear, len(cache["rows"]), len(c1) + len(c2)))
+            cache["rows"].extend((f_cre, f_ann, c, False) for f_cre, f_ann, c in c1)
+            cache["rows"].extend((f_cre, f_ann, c, True) for f_cre, f_ann, c in c2)
+        pats, rows = cache["patterns"], cache["rows"]
+        cache["arrays"] = tuple(np.array([t[i] for t in table], dtype=dtype)
+                                for table, i, dtype in ((pats, 0, bool), (pats, 1, np.int64),
+                                                        (pats, 2, np.int64), (rows, 0, np.uint64),
+                                                        (rows, 1, np.uint64), (rows, 2, float),
+                                                        (rows, 3, bool)))
+    return np.array([ids[p] for p in patterns], dtype=np.int64), cache["arrays"]
 
 
 def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
                   floor: float = ZERO_FLOOR) -> FermionOperator:
     """Exact e^{-theta A} H e^{theta A}, term by term.
 
-    Keys commuting with A pass through unchanged.  The others read [E,A] and
-    [[E,A],A] from the generator's R-pattern table (see ``_bch_structure``);
-    no Wick algebra runs per key.  When E flips some but not all of the
-    generator's indices, A [E,A] A = 0 and the conjugation closes as
+    A is even and acts only on its support R = P u Q (P its creation, Q its
+    annihilation indices), so with E = sigma(E) E_R E_rest, sigma the sign of
+    moving the R operators to the front, E_rest commutes with A and
+    [E,A] = sigma(E) [E_R,A] E_rest.  Keys with no index in R pass through
+    unchanged.  The others read [E_R,A] and [[E_R,A],A] from the table entry
+    of their R-pattern (cre & R, ann & R); no Wick algebra runs per key.  Each
+    R-local output F_j maps to F_j E_rest = sigma(F_j u rest) canonical(F_j u
+    rest).
 
-        E + sin(theta) [E,A] + (1 - cos(theta)) [[E,A],A]
+    A canonical key is written creations ascending, annihilations descending.
+    Moving its R operators to the front passes, for a creation x in R, the
+    rest creations below x; for an annihilation x in R, the rest
+    annihilations above x and then every rest creation.  With bit x of
+    ``cre_odd`` (``ann_odd``) set when that count is odd, the sign of an
+    R-local (cre_r, ann_r) has the parity of popcount(cre_r & cre_odd) +
+    popcount(ann_r & ann_odd).
 
-    and when it flips none or all of them, as
+    The closed form is picked from how E's indices overlap R.  A rotates only
+    the determinants whose R-bits read Q occupied, P empty, or the reverse.
+    E flips exactly the R-bits in F = (cre mask ^ ann mask) & R.  With F = 0
+    or F = R, E maps rotating determinants to rotating ones, and
 
-        E + sin(2 theta)/2 [E,A] + sin^2(theta)/2 [[E,A],A].
+        E + sin(2 theta)/2 [E,A] + sin^2(theta)/2 [[E,A],A];
+
+    with any other F, E maps rotating determinants to inert ones and back, so
+    A [E,A] A = 0 and
+
+        E + sin(theta) [E,A] + (1 - cos(theta)) [[E,A],A].
+
+    Each output sums, in term order, the key itself, then its [E,A] rows with
+    (h * s) * c, then its [[E,A],A] rows with (h * c') * c.
     """
     if theta == 0.0:
-        return op.copy()
+        return op
     cache = _gen_cache(gen)
-    lin_s, lin_c = math.sin(theta), 1.0 - math.cos(theta)
-    gen_s, gen_c = 0.5 * math.sin(2.0 * theta), 0.5 * math.sin(theta) ** 2
-    out: dict[Key, float] = {}
-    constant = op.constant
-    for key, h in op.terms.items():
-        out[key] = out.get(key, 0.0) + h
-        struct = _bch_structure(key, cache)
-        if struct is None:
-            continue
-        linear_case, c1, c2 = struct
-        fs, fc = (lin_s, lin_c) if linear_case else (gen_s, gen_c)
-        hfs = h * fs
-        hfc = h * fc
-        for k, c in c1:
-            out[k] = out.get(k, 0.0) + hfs * c
-        for k, c in c2:
-            out[k] = out.get(k, 0.0) + hfc * c
-    constant += out.pop(IDENTITY_KEY, 0.0)
-    return FermionOperator(out, constant).pruned(floor)
+    support = np.uint64(cache["support"])
+    cre, ann, h = op.cre, op.ann, op.coeffs
+    touched = np.flatnonzero(((cre | ann) & support) != 0)
+    # group the touched keys by R-pattern
+    cre_r, ann_r = cre[touched] & support, ann[touched] & support
+    order = np.lexsort((ann_r, cre_r))
+    head = np.ones(order.size, dtype=bool)
+    head[1:] = (np.diff(cre_r[order]) != 0) | (np.diff(ann_r[order]) != 0)
+    which = np.empty(order.size, dtype=np.int64)
+    which[order] = np.cumsum(head) - 1
+    ids, (linear, start, length, f_cre, f_ann, coeff, second) = _pattern_table(
+        list(zip(cre_r[order][head].tolist(), ann_r[order][head].tolist())), cache)
+    which = ids[which]
+    rows = length[which]
+    keys = touched[rows > 0]
+    which, rows = which[rows > 0], rows[rows > 0]
+
+    cre_r, ann_r = cre[keys] & support, ann[keys] & support
+    cre_rest, ann_rest = cre[keys] ^ cre_r, ann[keys] ^ ann_r
+    cre_odd = _below_parity(cre_rest) & support
+    flip_all = (np.bitwise_count(cre_rest) + np.bitwise_count(ann_rest)) & 1
+    ann_odd = (_below_parity(ann_rest) & support) ^ np.where(flip_all, support, np.uint64(0))
+    parity = np.bitwise_count(cre_r & cre_odd) + np.bitwise_count(ann_r & ann_odd)
+    lin = linear[which]
+    hfs = h[keys] * np.where(lin, math.sin(theta), 0.5 * math.sin(2.0 * theta))
+    hfc = h[keys] * np.where(lin, 1.0 - math.cos(theta), 0.5 * math.sin(theta) ** 2)
+
+    # row r belongs to key owner[r] and reads table row src[r]
+    owner = np.repeat(np.arange(keys.size), rows)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(rows) - rows, rows)
+    src = start[which][owner] + local
+    cre_odd, ann_odd = cre_odd[owner], ann_odd[owner]
+    row_parity = (parity[owner] + np.bitwise_count(f_cre[src] & cre_odd)
+                  + np.bitwise_count(f_ann[src] & ann_odd))
+    c = np.where(row_parity & 1, -coeff[src], coeff[src])
+    row_vals = np.where(second[src], hfc[owner], hfs[owner]) * c
+
+    # the sequence a dict loop would see: each key, then its rows
+    count = np.ones(h.size, dtype=np.int64)
+    count[keys] += rows
+    slot = np.cumsum(count) - count
+    size = h.size + owner.size
+    pos = slot[keys][owner] + 1 + local
+    seq = [np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)]
+    for arr, mine, theirs in zip(seq, (cre, ann, h), (f_cre[src] | cre_rest[owner],
+                                                      f_ann[src] | ann_rest[owner], row_vals)):
+        arr[slot] = mine
+        arr[pos] = theirs
+    (cre, ann), coeffs = _merge_first_seen((seq[0], seq[1]), seq[2])
+    return FermionOperator.from_arrays(cre, ann, coeffs, op.constant).pruned(floor)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fcidump import FCIDumpData
-from .fermion import FermionOperator, normal_order
+from .fermion import FermionOperator, Key, normal_order_terms
 
 _HERMITICITY_TOL = 1e-10
 
@@ -74,7 +74,15 @@ def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
     result is Hermitian by construction and rejected otherwise.
     """
     n = data.n_spatial
-    h = FermionOperator(constant=data.core_energy)
+    terms: dict[Key, float] = {}
+    constant = data.core_energy
+
+    def add(events, coefficient):
+        nonlocal constant
+        piece, piece_constant = normal_order_terms(events, coefficient)
+        constant += piece_constant
+        for k, c in piece.items():
+            terms[k] = terms.get(k, 0.0) + c
 
     for (p, q), v in data.one_body.items():
         sym = data.one(q, p)
@@ -87,9 +95,7 @@ def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
             if v == 0.0:
                 continue
             for s in (0, 1):
-                term = normal_order(
-                    [(spin_orbital(p - 1, s), True), (spin_orbital(q - 1, s), False)], v)
-                h = _accumulate(h, term)
+                add([(spin_orbital(p - 1, s), True), (spin_orbital(q - 1, s), False)], v)
 
     for p in range(1, n + 1):
         for q in range(1, n + 1):
@@ -100,14 +106,12 @@ def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
                         continue
                     for sig in (0, 1):
                         for tau in (0, 1):
-                            term = normal_order(
-                                [(spin_orbital(p - 1, sig), True),
+                            add([(spin_orbital(p - 1, sig), True),
                                  (spin_orbital(r - 1, tau), True),
                                  (spin_orbital(s_ - 1, tau), False),
                                  (spin_orbital(q - 1, sig), False)], 0.5 * v)
-                            h = _accumulate(h, term)
 
-    h.pruned()
+    h = FermionOperator(terms, constant).pruned()
     if not h.is_hermitian(_HERMITICITY_TOL):
         raise ValueError("assembled Hamiltonian is not Hermitian; check integral symmetry")
     return MolecularProblem(
@@ -118,10 +122,3 @@ def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
         hf_determinant=hf_determinant_bits(data.n_electrons, data.ms2),
     )
 
-
-def _accumulate(acc: FermionOperator, piece: FermionOperator) -> FermionOperator:
-    acc.constant += piece.constant
-    t = acc.terms
-    for k, c in piece.terms.items():
-        t[k] = t.get(k, 0.0) + c
-    return acc

@@ -19,7 +19,7 @@ from numbers import Integral
 import numpy as np
 
 from .cumulant import cumulant_decompose
-from .fermion import FermionGenerator, FermionOperator, bch_transform, excitation_rank
+from .fermion import FermionGenerator, FermionOperator, bch_transform
 from .hamiltonian import MolecularProblem
 from .jordan_wigner import jordan_wigner, jw_generator
 from .pauli import (PauliGenerator, PauliOperator, bch_transform_pauli, pauli_label,
@@ -228,14 +228,8 @@ def truncate(h, epsilon: float, n_electrons: int):
     """
     if isinstance(h, PauliOperator):
         return h.subset(h.identity_mask() | (h.magnitudes() >= epsilon))
-    kept = {}
-    for key, coeff in h.terms.items():
-        rank = excitation_rank(key)
-        if rank > n_electrons:
-            continue
-        if rank <= 2 or abs(coeff) >= epsilon:
-            kept[key] = coeff
-    return FermionOperator(kept, h.constant)
+    rank = np.bitwise_count(h.cre)
+    return h.subset((rank <= n_electrons) & ((rank <= 2) | (np.abs(h.coeffs) >= epsilon)))
 
 
 def transform_hamiltonian(h_approx, gen, theta: float, config: RunConfig, reference: int):
@@ -315,7 +309,7 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
     if flavor == "pauli":
         h_approx = jordan_wigner(problem.hamiltonian)
     else:
-        h_approx = problem.hamiltonian.copy()
+        h_approx = problem.hamiltonian
 
     seed_seq = np.random.SeedSequence(config.rng_seed)
     sel_seed, meas_seed = seed_seq.spawn(2)

@@ -69,26 +69,30 @@ def _merge_first_seen(keys: tuple[np.ndarray, ...], vals: np.ndarray):
     return tuple(k[firsts[rank]] for k in keys), sums[rank]
 
 
-class PauliTerms(Mapping):
-    """Read-only ``{(x, z): coeff}`` view of a PauliOperator, in term order.
+class TermsView(Mapping):
+    """Read-only ``{key: coeff}`` view of an array-backed operator, in term order.
 
-    ``len`` reads the array size; lookups build a dict on first use.
+    ``len`` reads the array size; keys come from the operator's ``_keys``;
+    lookups build a dict on first use.
     """
 
-    def __init__(self, op: "PauliOperator"):
+    def __init__(self, op):
         self._op = op
 
     def __len__(self) -> int:
         return self._op.coeffs.size
 
     def __iter__(self):
-        return zip(self._op.x.tolist(), self._op.z.tolist())
+        return self._op._keys()
 
-    def __getitem__(self, key: PKey) -> complex:
+    def __getitem__(self, key):
         return self._dict[key]
 
+    def __repr__(self) -> str:
+        return f"TermsView({self._dict!r})"
+
     @cached_property
-    def _dict(self) -> dict[PKey, complex]:
+    def _dict(self) -> dict:
         return dict(zip(self, self._op.coeffs.tolist()))
 
 
@@ -115,9 +119,12 @@ class PauliOperator:
             a.setflags(write=False)
         self.x, self.z, self.coeffs = x, z, coeffs
 
+    def _keys(self):
+        return zip(self.x.tolist(), self.z.tolist())
+
     @cached_property
-    def terms(self) -> PauliTerms:
-        return PauliTerms(self)
+    def terms(self) -> TermsView:
+        return TermsView(self)
 
     def identity_mask(self) -> np.ndarray:
         return (self.x | self.z) == 0

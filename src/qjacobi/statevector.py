@@ -350,11 +350,6 @@ def expectation_sampled(op, state: np.ndarray, shots_per_term: int, rng) -> floa
     return total
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2."""
-    return float(abs(np.vdot(a, b)) ** 2)
-
-
 class StatevectorBackend:
     """One run's simulated device: reference prep, circuit, measurement.
 

@@ -27,7 +27,8 @@ from qjacobi.pauli import PauliGenerator, PauliOperator, bch_transform_pauli
 from qjacobi.statevector import (Circuit, GivensStep, apply_circuit,
                                  apply_fermionic_rotation, apply_step,
                                  expectation_exact, expectation_sampled,
-                                 fidelity, prepare_determinant)
+                                 prepare_determinant)
+from support import fidelity, generator_operator
 
 
 @contextmanager
@@ -60,7 +61,7 @@ def test_criterion_1_bch_exactness():
             theta = rng.uniform(-math.pi, math.pi)
             gen = FermionGenerator(gkey, rng.choice((1, -1)))
             out = bch_transform(FermionOperator({key: 1.0}), gen, theta)
-            a = dense_matrix(gen.operator(), n)
+            a = dense_matrix(generator_operator(gen), n)
             e = dense_matrix(FermionOperator({key: 1.0}), n)
             ref = expm(-theta * a) @ e @ expm(theta * a)
             worst_f = max(worst_f, float(np.max(np.abs(dense_matrix(out, n) - ref))))

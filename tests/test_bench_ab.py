@@ -1,0 +1,42 @@
+"""Summary statistics of the A/B benchmark driver on fixed inputs."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_ab.py"
+_SPEC = importlib.util.spec_from_file_location("bench_ab", _PATH)
+bench_ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_ab)
+
+
+def run(pair, side, **metrics):
+    return {"workload": "w", "seed": 0, "trace": 0, "pair": pair, "side": side,
+            "last_line": {"metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}}
+
+
+def test_quartiles_inclusive():
+    assert bench_ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 4.0)
+    assert bench_ab.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 3.25)
+    assert bench_ab.quartiles([7.0]) == (7.0, 7.0)
+
+
+def test_summary_medians_wins_and_gap():
+    parent = [1.0, 1.2, 1.1, 1.3, 1.0]
+    change = [0.4, 0.5, 1.1, 0.3, 0.6]  # pair 3 ties and counts for neither
+    runs = [run(i + 1, side, run_s=v, hit=v)
+            for i, pv in enumerate(zip(parent, change)) for side, v in zip(("parent", "change"), pv)]
+    runs.append({**run(6, "parent", run_s=9.0), "last_line": None})  # a failed run
+    runs.append(run(7, "change", run_s=0.1))  # a pair without its parent run
+    out = bench_ab.summarize(runs, {"run_s": True, "hit": False})
+    s = out["run_s"]
+    assert s["pairs"] == 5 and s["wins"] == 4
+    assert s["parent"] == {"median": 1.1, "q1": 1.0, "q3": 1.2}
+    assert s["change"] == {"median": 0.5, "q1": 0.4, "q3": 0.6}
+    assert s["gap"] == pytest.approx(0.6) and s["parent_iqr"] == pytest.approx(0.2)
+    assert s["gap_exceeds_parent_iqr"]
+    # higher is better: the same numbers are a loss in 4 of 5 pairs
+    h = out["hit"]
+    assert h["wins"] == 0 and h["gap"] == pytest.approx(-0.6)
+    assert not h["gap_exceeds_parent_iqr"]

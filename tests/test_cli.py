@@ -165,6 +165,21 @@ class TestErrors:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("qjacobi-error: fcidump: line 1:")
 
+    @pytest.mark.parametrize("command", ["fci", "run"])
+    def test_nan_integral_rejected(self, tmp_path, command):
+        # before the check, a NaN one-body integral was dropped silently and
+        # both commands exited 0 with the wrong energy
+        text = pathlib.Path(H2).read_text().replace(
+            "-1.2567389867960577E+00   1   1   0   0", "NaN   1   1   0   0")
+        bad = tmp_path / "nan.fcidump"
+        bad.write_text(text)
+        args = ["--method", "exact-fermion", "--max-cycles", "2"] if command == "run" else []
+        code, out, err = run_cli([command, "--fcidump", str(bad), *args])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("qjacobi-error: fcidump: line 10: non-finite value")
+
     def test_unwritable_output_path(self):
         code, out, err = run_cli(["run", "--fcidump", H2, "--method", "exact-fermion",
                                   "--max-cycles", "1", "--trace", "/no/such/dir/t.jsonl"])

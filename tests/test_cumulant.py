@@ -2,8 +2,9 @@ import itertools
 
 
 from qjacobi.cumulant import cumulant_decompose
-from qjacobi.fermion import FermionOperator, classify_indices, excitation_rank, normal_order
+from qjacobi.fermion import FermionOperator, normal_order
 from qjacobi.jacobi import diagonal_element
+from support import classify_indices, excitation_rank, max_rank, plus
 
 KAPPA = 1e-3
 SMALL = 1e-4  # below kappa, triggers decomposition
@@ -34,7 +35,7 @@ class TestThreeCases:
     def test_m1_distributed_over_spectators(self):
         # E^{p r1 r2}_{q r1 r2} -> 1/2 (E^{p r1}_{q r1} + E^{p r2}_{q r2})
         original = e_term((4, 1, 2), (5, 1, 2), SMALL)
-        expected = e_term((4, 1), (5, 1), SMALL / 2).plus(e_term((4, 2), (5, 2), SMALL / 2))
+        expected = plus(e_term((4, 1), (5, 1), SMALL / 2), e_term((4, 2), (5, 2), SMALL / 2))
         assert_ops_close(cumulant_decompose(original, KAPPA, self.REF), expected)
 
     def test_m0_pairwise_contractions(self):
@@ -42,7 +43,7 @@ class TestThreeCases:
         original = e_term((0, 1, 2), (0, 1, 2), SMALL)
         expected = FermionOperator()
         for a, b in itertools.combinations((0, 1, 2), 2):
-            expected = expected.plus(e_term((a, b), (a, b), SMALL / 3))
+            expected = plus(expected, e_term((a, b), (a, b), SMALL / 3))
         assert_ops_close(cumulant_decompose(original, KAPPA, self.REF), expected)
 
     def test_unoccupied_spectator_dropped(self):
@@ -92,14 +93,14 @@ class TestRankReduction:
     def test_output_rank_at_most_max_of_two_and_pure_rank(self):
         ref = 0b00111111
         op = FermionOperator()
-        op = op.plus(e_term((6, 1, 2, 3), (7, 1, 2, 3), SMALL))       # m=1, l=3
-        op = op.plus(e_term((0, 1, 2, 3), (0, 1, 2, 3), SMALL))       # m=0, l=4
-        op = op.plus(e_term((6, 7, 1, 2), (4, 5, 1, 2), SMALL))       # m=2, l=2
+        op = plus(op, e_term((6, 1, 2, 3), (7, 1, 2, 3), SMALL))       # m=1, l=3
+        op = plus(op, e_term((0, 1, 2, 3), (0, 1, 2, 3), SMALL))       # m=0, l=4
+        op = plus(op, e_term((6, 7, 1, 2), (4, 5, 1, 2), SMALL))       # m=2, l=2
         out = cumulant_decompose(op, KAPPA, ref)
         for key in out.terms:
             pure_cre, _, spect = classify_indices(key)
             assert excitation_rank(key) <= max(2, len(pure_cre))
-        assert out.max_rank() <= 2
+        assert max_rank(out) <= 2
 
 
 def test_respects_canonical_signs():
@@ -107,6 +108,6 @@ def test_respects_canonical_signs():
     ref = 0b00001111
     combined = e_term((4, 0, 3), (5, 0, 3), SMALL)
     out = cumulant_decompose(combined, KAPPA, ref)
-    expected = e_term((4, 0), (5, 0), SMALL / 2).plus(e_term((4, 3), (5, 3), SMALL / 2))
+    expected = plus(e_term((4, 0), (5, 0), SMALL / 2), e_term((4, 3), (5, 3), SMALL / 2))
     for k in set(out.terms) | set(expected.terms):
         assert abs(out.terms.get(k, 0.0) - expected.terms.get(k, 0.0)) < 1e-14

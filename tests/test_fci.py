@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qjacobi.fci import (DeterminantBasis, dense_matrix, embed_in_full_space,
-                         enumerate_determinants, ground_state)
+from qjacobi.fci import DeterminantBasis, dense_matrix, enumerate_determinants, ground_state
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
 from qjacobi.hamiltonian import hf_energy
+from support import embed_in_full_space
 
 
 def test_enumeration_counts():
@@ -25,7 +25,7 @@ def test_sz_restriction():
 
 
 def test_dense_identity():
-    op = FermionOperator.identity(1.0)
+    op = FermionOperator(constant=1.0)
     assert np.allclose(dense_matrix(op, 2), np.eye(4))
 
 

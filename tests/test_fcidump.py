@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qjacobi.fcidump import FCIDumpError, emit_fcidump, parse_fcidump
+from qjacobi.fcidump import FCIDumpData, FCIDumpError, emit_fcidump, parse_fcidump
 
 MINIMAL = """&FCI NORB=2,NELEC=2,MS2=0,
   ORBSYM=1,1,
@@ -107,3 +109,45 @@ def test_inconsistent_spin_header_rejected(header):
 def test_spin_header_at_bounds_accepted(header, counts):
     data = parse_fcidump(f"&FCI {header},&END\n 1.0 1 1 0 0\n")
     assert (data.n_spatial, data.n_electrons, data.ms2) == counts
+
+
+@pytest.mark.parametrize("value", ["NaN", "nan", "inf", "-Infinity", "1D999"])
+@pytest.mark.parametrize("indices, line", [("1 1 0 0", 3), ("1 1 1 1", 3), ("0 0 0 0", 4)])
+def test_non_finite_value_rejected(value, indices, line):
+    # a NaN integral would pass the zero skip of the Hamiltonian build and
+    # then vanish in pruning; an infinite one would abort the run later
+    text = f"&FCI NORB=2,NELEC=2,MS2=0,&END\n 0.5 2 2 0 0\n {value} {indices}\n 0.1 0 0 0 0\n"
+    if indices == "0 0 0 0":
+        text = f"&FCI NORB=2,NELEC=2,MS2=0,&END\n 0.5 2 2 0 0\n 0.1 1 1 0 0\n {value} 0 0 0 0\n"
+    with pytest.raises(FCIDumpError, match=f"line {line}: non-finite value"):
+        parse_fcidump(text)
+
+
+_SPINS = st.integers(1, 4).flatmap(
+    lambda norb: st.tuples(st.just(norb), st.integers(0, norb), st.integers(0, norb)).filter(
+        lambda t: t[1] + t[2] > 0))
+_VALUES = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def fcidump_data(draw):
+    """Valid FCIDumpData: NORB <= 4, consistent spin counts, finite integrals
+    stored under their canonical keys."""
+    norb, n_alpha, n_beta = draw(_SPINS)
+    index = st.integers(1, norb)
+    one = draw(st.dictionaries(st.tuples(index, index).map(lambda k: tuple(sorted(k))[::-1]),
+                               _VALUES, max_size=6))
+    pair = st.tuples(index, index).map(lambda k: tuple(sorted(k))[::-1])
+    two = draw(st.dictionaries(st.tuples(pair, pair).map(lambda k: max(k) + min(k)),
+                               _VALUES, max_size=10))
+    return FCIDumpData(n_spatial=norb, n_electrons=n_alpha + n_beta, ms2=n_alpha - n_beta,
+                       core_energy=draw(_VALUES), one_body=one, two_body=two)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(fcidump_data())
+def test_roundtrip_fuzz(data):
+    text = emit_fcidump(data)
+    again = parse_fcidump(text)
+    assert again == data
+    assert emit_fcidump(again) == text

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -8,19 +9,23 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qjacobi import fermion
+from qjacobi.cumulant import cumulant_decompose
 from qjacobi.fci import dense_matrix
-from qjacobi.fermion import (FermionGenerator, FermionOperator, _bch_structure, _gen_cache,
-                             _reorder, apply_key_to_det, bch_transform, classify_indices,
-                             commutator, conjugate_key, excitation_rank, key_events,
-                             key_support, multiply, normal_order, term_product)
-from qjacobi.jacobi import RunConfig, run_quantum_jacobi
+from qjacobi.fermion import (FermionGenerator, FermionOperator, _gen_cache, _pattern_table,
+                             _reorder, apply_key_to_det, bch_transform, conjugate_key,
+                             key_events, key_support, normal_order, term_product)
+from qjacobi.jacobi import (RunConfig, classical_residual, generator_from_determinant,
+                            run_quantum_jacobi, select_deterministic, truncate)
+from support import (act_loop, bch_loop, classify_indices, commutator, cumulant_loop,
+                     excitation_rank, generator_operator, max_rank, multiply, plus, scaled,
+                     truncate_loop)
 
 
 def op_from_terms(*pairs, constant=0.0):
-    out = FermionOperator(constant=constant)
+    terms = {}
     for key, c in pairs:
-        out.terms[key] = out.terms.get(key, 0.0) + c
-    return out
+        terms[key] = terms.get(key, 0.0) + c
+    return FermionOperator(terms, constant)
 
 
 def assert_ops_close(a, b, tol=1e-12):
@@ -103,10 +108,10 @@ def key_to_events(key):
 class TestProducts:
     def test_identity_times_h(self, h2):
         h = h2.hamiltonian
-        assert_ops_close(multiply(FermionOperator.identity(), h), h)
+        assert_ops_close(multiply(FermionOperator(constant=1.0), h), h)
 
     def test_zero_annihilates(self, h2):
-        prod = multiply(h2.hamiltonian, FermionOperator.zero())
+        prod = multiply(h2.hamiltonian, FermionOperator())
         assert not prod.terms and prod.constant == 0.0
 
     def test_spec_product(self):
@@ -158,7 +163,7 @@ class TestCommutator:
         for _ in range(30):
             a = op_from_terms((random_key(rng, 4), rng.uniform(-1, 1)))
             b = op_from_terms((random_key(rng, 4), rng.uniform(-1, 1)))
-            assert_ops_close(commutator(a, b), commutator(b, a).scaled(-1.0))
+            assert_ops_close(commutator(a, b), scaled(commutator(b, a), -1.0))
 
 
 class TestRankAndClassification:
@@ -180,10 +185,10 @@ class TestRankAndClassification:
         while checked < 60:
             e_key = random_key(rng, 6, max_rank=2)
             g = FermionGenerator(random_pure_excitation(rng, 6, max_rank=2))
-            c = commutator(op_from_terms((e_key, 1.0)), g.operator())
+            c = commutator(op_from_terms((e_key, 1.0)), generator_operator(g))
             if not c.terms:
                 continue
-            assert c.max_rank() == excitation_rank(e_key) + g.rank() - 1
+            assert max_rank(c) == excitation_rank(e_key) + len(g.excitation[0]) - 1
             checked += 1
 
 
@@ -207,8 +212,8 @@ class TestGenerator:
         # which is all the constructor checks
         count = 0
         for excitation in pure_excitations(8, 3):
-            a = FermionGenerator(excitation, sign).operator()
-            residue = multiply(multiply(a, a), a).plus(a)
+            a = generator_operator(FermionGenerator(excitation, sign))
+            residue = plus(multiply(multiply(a, a), a), a)
             assert not residue.terms and not residue.constant, excitation
             count += 1
         assert count == 56 + 420 + 560
@@ -245,7 +250,7 @@ class TestBchFermionic:
             gen = FermionGenerator(random_pure_excitation(rng, 4), rng.choice((1, -1)))
             theta = rng.uniform(-3.0, 3.0)
             out = bch_transform(FermionOperator({key: 1.0}), gen, theta)
-            a = dense_matrix(gen.operator(), 4)
+            a = dense_matrix(generator_operator(gen), 4)
             e = dense_matrix(op_from_terms((key, 1.0)), 4)
             ref = expm(-theta * a) @ e @ expm(theta * a)
             worst = max(worst, float(np.max(np.abs(dense_matrix(out, 4) - ref))))
@@ -278,7 +283,7 @@ class TestBchFermionic:
 
 def closes_linearly(key, gen):
     """Symbolic oracle for the closed-form case: A [E,A] A == 0, or None if [E,A] = 0."""
-    a = gen.operator()
+    a = generator_operator(gen)
     c1 = commutator(FermionOperator({key: 1.0}), a)
     if not c1.terms and not c1.constant:
         return None
@@ -298,14 +303,18 @@ class TestClosedFormCase:
                                             ((1, 3, 6), (0, 4, 5))])
     def test_overlap_rule_matches_symbolic_oracle(self, excitation):
         gen = FermionGenerator(excitation)
-        cache = _gen_cache(gen)
+        support = key_support(excitation)
+        keys = list(canonical_keys(8, 4))
+        patterns = [(key_support((cre, ())) & support, key_support(((), ann)) & support)
+                    for cre, ann in keys]
+        ids, (linear, _, length, *_) = _pattern_table(patterns, _gen_cache(gen))
         cases = set()
-        for key in canonical_keys(8, 4):
+        for key, pattern, i in zip(keys, patterns, ids):
             expected = closes_linearly(key, gen)
-            struct = _bch_structure(key, cache)
-            assert (struct is None) == (expected is None), key
-            if struct is not None:
-                assert struct[0] == expected, key
+            commutes = pattern == (0, 0) or length[i] == 0
+            assert commutes == (expected is None), key
+            if not commutes:
+                assert linear[i] == expected, key
                 cases.add(expected)
         assert cases == {True, False}
 
@@ -325,37 +334,10 @@ class TestClosedFormCase:
         key = (tuple(sorted(cre)), tuple(sorted(ann)))
         theta = data.draw(st.floats(-3.2, 3.2))
         out = bch_transform(FermionOperator({key: 1.0}), gen, theta)
-        a = dense_matrix(gen.operator(), n)
+        a = dense_matrix(generator_operator(gen), n)
         e = dense_matrix(FermionOperator({key: 1.0}), n)
         ref = expm(-theta * a) @ e @ expm(theta * a)
         assert np.max(np.abs(dense_matrix(out, n) - ref)) < 1e-10
-
-
-def wick_structure(key, gen):
-    """Per-key Wick oracle for ``_bch_structure``: [E,A] and [[E,A],A] of the
-    full key through ``term_product``, with the overlap rule for the case."""
-    g, gd, s = gen.excitation, conjugate_key(gen.excitation), gen.sign
-
-    def comm(k):
-        acc = {}
-        for left, right, sign in ((k, g, 1), (g, k, -1), (k, gd, -1), (gd, k, 1)):
-            for kk, c in term_product(left, right):
-                acc[kk] = acc.get(kk, 0) + sign * c
-        return tuple((kk, s * c) for kk, c in acc.items() if c)
-
-    support = key_support(g)
-    if key_support(key) & support == 0:
-        return None
-    c1 = comm(key)
-    if not c1:
-        return None
-    acc2 = {}
-    for k, c in c1:
-        for kk, cc in comm(k):
-            acc2[kk] = acc2.get(kk, 0) + c * cc
-    c2 = tuple((k, c) for k, c in acc2.items() if c)
-    flip = (key_support((key[0], ())) ^ key_support(((), key[1]))) & support
-    return (flip not in (0, support), c1, c2)
 
 
 class TestPatternTables:
@@ -363,21 +345,24 @@ class TestPatternTables:
     @pytest.mark.parametrize("excitation", [((6,), (1,)), ((2, 7), (0, 4)),
                                             ((1, 3, 6), (0, 4, 5))])
     def test_tables_match_wick_oracle_in_order(self, excitation, sign, monkeypatch):
+        # every canonical key on 8 modes up to rank 4, against the Wick algebra
+        # of the full key, term by term
         gen = FermionGenerator(excitation, sign)
-        fermion._GEN_CACHES.pop((gen.excitation, gen.sign), None)
-        cache = _gen_cache(gen)
-        keys = list(canonical_keys(8, 4))
-        expected = [wick_structure(key, gen) for key in keys]
-        assert [_bch_structure(key, cache) for key in keys] == expected
-        assert len(cache["table"]) <= 4 ** len(excitation[0] + excitation[1])
+        _gen_cache.cache_clear()
+        rng = random.Random(len(excitation[0]) * sign)
+        op = FermionOperator({key: rng.uniform(-1.0, 1.0) for key in canonical_keys(8, 4)})
+        expected = bch_loop(op, gen, 0.7)
+        out = bch_transform(op, gen, 0.7)
+        assert (list(out.terms.items()), out.constant) == (list(expected[0].items()), expected[1])
+        assert len(_gen_cache(gen)["ids"]) <= 4 ** len(excitation[0] + excitation[1])
         # with every pattern tabulated, keys map through masks alone
-        cache["struct"].clear()
 
         def no_wick(*args):
             raise AssertionError("Wick algebra called per key")
 
         monkeypatch.setattr(fermion, "term_product", no_wick)
-        assert [_bch_structure(key, cache) for key in keys] == expected
+        again = bch_transform(op, gen, 0.7)
+        assert list(again.terms.items()) == list(out.terms.items())
 
 
 class TestCacheState:
@@ -385,9 +370,8 @@ class TestCacheState:
         cfg = dict(method="cfqj", epsilon=1e-4, kappa=1e-3, rng_seed=5)
         run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=20))
         warm = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
-        assert fermion._GEN_CACHES
-        fermion._GEN_CACHES.clear()
-        for cached in (term_product, fermion._cross, _reorder):
+        assert _gen_cache.cache_info().currsize
+        for cached in (_gen_cache, term_product, fermion._cross, _reorder):
             cached.cache_clear()
         cold = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
         assert cold == warm
@@ -408,3 +392,110 @@ class TestDeterminantAction:
         assert res == (1, 0b0011)  # two occupied below index 3
         res = apply_key_to_det(((), (1,)), 0b0011)
         assert res == (-1, 0b0001)
+
+
+# Coefficients that cancel exactly and sit on the floor and the thresholds.
+_DYADIC = st.sampled_from([0.5, -0.5, 0.25, -0.25, 1.0, -1.0, 0.125, 1e-15, -3e-15])
+_COEFFS = _DYADIC | st.floats(-2.0, 2.0, allow_nan=False)
+# sin and 1 - cos are exact at +-pi/2, so dyadic contributions cancel exactly
+_THETAS = (st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi / 4, math.pi])
+           | st.floats(-3.2, 3.2))
+
+
+@st.composite
+def fermion_cases(draw):
+    """(n, operator, generator): distinct keys of rank <= 5 on n <= 8 modes,
+    some with their adjoint present too, and a pure excitation generator."""
+    n = draw(st.integers(2, 8))
+
+    def key():
+        rank = draw(st.integers(1, min(5, n)))
+        cre, ann = (draw(st.lists(st.integers(0, n - 1), min_size=rank, max_size=rank,
+                                  unique=True)) for _ in range(2))
+        return (tuple(sorted(cre)), tuple(sorted(ann)))
+
+    keys = [key() for _ in range(draw(st.integers(0, 20)))]
+    if keys:
+        keys += [conjugate_key(k) for k in draw(st.lists(st.sampled_from(keys), max_size=6))]
+    terms = {}
+    for k in keys:
+        terms.setdefault(k, draw(_COEFFS))
+    op = FermionOperator(terms, draw(st.sampled_from([0.0, 1.5, -1e-15])))
+    rank = draw(st.integers(1, n // 2))
+    modes = draw(st.permutations(range(n)))
+    gen = FermionGenerator((tuple(sorted(modes[:rank])), tuple(sorted(modes[rank:2 * rank]))),
+                           draw(st.sampled_from((1, -1))))
+    return n, op, gen
+
+
+def assert_same_terms(op, expected):
+    terms, constant = expected
+    assert list(op.terms.items()) == list(terms.items())
+    assert op.constant == constant
+
+
+class TestArrayPassesMatchLoops:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(fermion_cases(), _THETAS)
+    def test_bch_transform(self, case, theta):
+        n, op, gen = case
+        assert_same_terms(bch_transform(op, gen, theta), bch_loop(op, gen, theta))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(fermion_cases(), st.sampled_from([1e-3, 0.3, 1.0, 3.0]), st.integers(0, 255))
+    def test_cumulant_decompose(self, case, kappa, reference):
+        n, op, gen = case
+        reference &= (1 << n) - 1
+        assert_same_terms(cumulant_decompose(op, kappa, reference),
+                          cumulant_loop(op, kappa, reference))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(fermion_cases(), st.sampled_from([0.0, 0.25, 0.5, 1e-15]) | st.floats(0.0, 2.0),
+           st.integers(0, 8))
+    def test_truncate(self, case, epsilon, n_electrons):
+        n, op, gen = case
+        assert_same_terms(truncate(op, epsilon, n_electrons),
+                          truncate_loop(op, epsilon, n_electrons))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(fermion_cases(), st.integers(0, 255))
+    def test_act(self, case, det):
+        n, op, gen = case
+        det &= (1 << n) - 1
+        assert list(op.act(det).items()) == list(act_loop(op, det).items())
+
+    def test_h4_cycles(self, h4):
+        # the passes of a cfqj cycle on real operators, chained for six cycles
+        h, phi0 = h4.hamiltonian, h4.hf_determinant
+        for _ in range(6):
+            assert list(h.act(phi0).items()) == list(act_loop(h, phi0).items())
+            pick = select_deterministic(classical_residual(h, phi0))
+            gen = generator_from_determinant(phi0, pick, "fermionic")
+            conj = bch_transform(h, gen, 0.3)
+            assert_same_terms(conj, bch_loop(h, gen, 0.3))
+            comp = cumulant_decompose(conj, 1e-3, phi0)
+            assert_same_terms(comp, cumulant_loop(conj, 1e-3, phi0))
+            h = truncate(comp, 1e-4, 4)
+            assert_same_terms(h, truncate_loop(comp, 1e-4, 4))
+
+    def test_conjugation_cancels_exactly(self):
+        # at theta = pi/2 the rotation a+_2 a_0 -> -a+_2 a_1 is complete: the
+        # input keys sum to exactly 0 and are pruned, as in the loop
+        gen = FermionGenerator(((1,), (0,)))
+        op = FermionOperator({((2,), (0,)): 0.5, ((0,), (2,)): 0.5})
+        out = bch_transform(op, gen, math.pi / 2)
+        assert_same_terms(out, bch_loop(op, gen, math.pi / 2))
+        assert dict(out.terms) == {((2,), (1,)): -0.5, ((1,), (2,)): -0.5}
+
+    def test_terms_view(self):
+        op = FermionOperator({((2,), (0,)): 0.5, ((0, 1), (0, 1)): -0.25}, constant=1.0)
+        assert len(op.terms) == 2 and op.term_count() == 2
+        assert list(op.terms) == [((2,), (0,)), ((0, 1), (0, 1))]
+        assert op.terms[((0, 1), (0, 1))] == -0.25 and op.terms.get(((0,), (2,))) is None
+        for arr in (op.cre, op.ann, op.coeffs):
+            assert not arr.flags.writeable
+
+    def test_more_than_64_modes_rejected(self):
+        FermionOperator({((63,), (0,)): 1.0})  # fine
+        with pytest.raises(ValueError, match="64 modes"):
+            FermionOperator({((64,), (0,)): 1.0})

@@ -16,8 +16,8 @@ from qjacobi.jacobi import (EffectiveBlock, ResidualVector, RunConfig,
 from qjacobi.jordan_wigner import jordan_wigner
 from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, StatevectorBackend,
-                                 apply_circuit, apply_step, fidelity,
-                                 prepare_determinant)
+                                 apply_circuit, apply_step, prepare_determinant)
+from support import fidelity
 
 
 class TestClassicalResidual:
@@ -144,7 +144,7 @@ class TestMeasureBlock:
         # entries agree with the untruncated classically transformed Hamiltonian
         backend = StatevectorBackend(h4.n_qubits, h4.hf_determinant, h4.hamiltonian)
         phi0 = h4.hf_determinant
-        h_bar = h4.hamiltonian.copy()
+        h_bar = h4.hamiltonian
         circuit = Circuit()
         energy = diagonal_element(h_bar, phi0)
         for _ in range(4):

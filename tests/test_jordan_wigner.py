@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qjacobi.fci import DeterminantBasis, dense_matrix
-from qjacobi.fermion import FermionGenerator, FermionOperator, multiply
+from qjacobi.fermion import FermionGenerator, FermionOperator
 from qjacobi.jordan_wigner import jordan_wigner, jw_generator
 from qjacobi.pauli import PAULI_IDENTITY, pauli_multiply
+from support import generator_operator, multiply, plus
 
 
 def max_abs_imag(op):
@@ -52,7 +53,7 @@ def test_linearity():
         a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
         h1 = FermionOperator({k1: 1.0})
         h2_ = FermionOperator({k2: 1.0})
-        combined = jordan_wigner(FermionOperator({k1: a}).plus(FermionOperator({k2: b}))).terms
+        combined = jordan_wigner(plus(FermionOperator({k1: a}), FermionOperator({k2: b}))).terms
         separate = {}
         for op, scale in ((jordan_wigner(h1), a), (jordan_wigner(h2_), b)):
             for k, c in op.terms.items():
@@ -86,7 +87,7 @@ def test_generator_image_matches_dense():
     # mu = -i(E - E+) must be Hermitian with real coefficients
     assert max_abs_imag(mu) < 1e-14
     dense_mu = dense_matrix(mu, 4)
-    a = dense_matrix(gen.operator(), 4)
+    a = dense_matrix(generator_operator(gen), 4)
     assert np.max(np.abs(dense_mu - (-1j) * a)) < 1e-12
 
 

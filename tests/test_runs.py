@@ -5,10 +5,10 @@ import pytest
 
 from qjacobi import jacobi
 from qjacobi.cli import main
-from qjacobi.fci import embed_in_full_space
 from qjacobi.jacobi import QJRunError, RunConfig, run_quantum_jacobi
-from qjacobi.statevector import (StatevectorBackend, apply_circuit, expectation_exact, fidelity,
+from qjacobi.statevector import (StatevectorBackend, apply_circuit, expectation_exact,
                                  prepare_determinant)
+from support import embed_in_full_space, fidelity
 
 
 def energies(trace):

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from qjacobi import statevector
 from qjacobi.fcidump import parse_fcidump
-from qjacobi.fci import dense_matrix, embed_in_full_space
+from qjacobi.fci import dense_matrix
 from qjacobi.fermion import FermionGenerator, FermionOperator, conjugate_key
 from qjacobi.hamiltonian import build_hamiltonian, hf_energy
 from qjacobi.jacobi import RunConfig, run_quantum_jacobi
@@ -20,7 +20,8 @@ from qjacobi.statevector import (Circuit, GivensStep, StatevectorBackend,
                                  apply_circuit, apply_excitation,
                                  apply_fermionic_rotation, apply_pauli_rotation,
                                  compile_operator, compile_sampled, expectation_exact,
-                                 expectation_sampled, fidelity, prepare_determinant)
+                                 expectation_sampled, prepare_determinant)
+from support import embed_in_full_space, fidelity, generator_operator
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -154,7 +155,7 @@ class TestFermionicRotation:
             theta = rng.uniform(-3, 3)
             v = np.array([rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1) for _ in range(2 ** n)])
             v /= np.linalg.norm(v)
-            a = dense_matrix(gen.operator(), n)
+            a = dense_matrix(generator_operator(gen), n)
             ref = expm(theta * a) @ v
             out = apply_fermionic_rotation(v, gen, theta)
             assert np.max(np.abs(out - ref)) < 1e-10
@@ -305,6 +306,22 @@ class TestSampledMatchesLoop:
             assert (backend.expectation(part)
                     == sampled_loop(hp, backend.state(part), 1000, oracle_rng))
         assert backend.rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestSampledMeans:
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_means_equal_per_string_vdot(self, n):
+        # <s|P|s> per string must be one np.vdot of s with P.s, bit for bit; a
+        # batched form (block @ s.conj()) rounds differently at these sizes
+        rng = np.random.default_rng(n)
+        keys = {(int(x), int(z)) for x, z in rng.integers(0, 1 << n, size=(40, 2))}
+        op = PauliOperator(dict.fromkeys(keys, 0.5))
+        table = compile_sampled(op, 1 << n)
+        for seed in range(3):
+            state = _random_state(n, seed)
+            expected = [complex(np.vdot(state, apply_pauli_string(state, key))).real
+                        for key in sorted(keys) if key != PAULI_IDENTITY]
+            assert table.means(state).tolist() == expected
 
 
 class TestFidelity:
