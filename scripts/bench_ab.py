@@ -8,9 +8,10 @@ Each revision is checked out with ``git worktree add --detach`` under
 ``.perfbench_out/`` and removed at the end.  Pair i runs the unchanged
 ``perfbench/run.py`` once in each checkout, the parent first in odd pairs and
 the change first in even ones, with the benchmark's default run length.
-Every run is appended to the output file (by default the next free
-``BENCH_<n>.json`` at the repository root; an existing file for the same two
-commits is extended), with its last stdout line as recorded.  The file then
+Every run is appended to the output file, with its last stdout line as
+recorded.  By default that is the highest-numbered ``BENCH_<n>.json`` at the
+repository root when it records the same two commits, else a new one with
+the next number.  The file then
 gets a ``summary`` per workload, seed and trace mode.  For every metric it
 holds each side's median and quartiles, the pairs the change won, and the gap
 between the medians against the parent's interquartile range.  For untraced
@@ -116,10 +117,17 @@ def directions() -> dict[str, bool]:
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
-def default_out() -> Path:
-    numbers = [int(p.stem.split("_")[1]) for p in ROOT.glob("BENCH_*.json")
-               if p.stem.split("_")[1].isdigit()]
-    return ROOT / f"BENCH_{max(numbers, default=0) + 1}.json"
+def default_out(commits: dict[str, str]) -> Path:
+    """The highest-numbered BENCH_<n>.json if it records these two commits,
+    else the next number."""
+    numbered = sorted((int(p.stem[6:]), p) for p in ROOT.glob("BENCH_*.json")
+                      if p.stem[6:].isdigit())
+    if numbered:
+        last = json.loads(numbered[-1][1].read_text())
+        if (last["parent"]["commit"], last["change"]["commit"]) == (
+                commits["parent"], commits["change"]):
+            return numbered[-1][1]
+    return ROOT / f"BENCH_{numbered[-1][0] + 1 if numbered else 1}.json"
 
 
 def main() -> int:
@@ -135,7 +143,7 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    out_path = args.out or default_out()
+    out_path = args.out or default_out(commits)
     bench = json.loads(out_path.read_text()) if out_path.exists() else {}
     if bench and (bench["parent"]["commit"], bench["change"]["commit"]) != (
             commits["parent"], commits["change"]):

@@ -115,26 +115,14 @@ def _cross(ann_desc: tuple[int, ...], cre_asc: tuple[int, ...]) -> tuple[tuple[K
     return _reorder(events)
 
 
-def _merge_cre(t1, t2):
-    # both ascending; parity of merging the written concatenation to ascending
+def _merge(t1, t2):
+    # both ascending; parity of sorting the written concatenation t1 + t2
     inv = 0
     for x in t1:
         for y in t2:
             if x == y:
                 return None
             if x > y:
-                inv += 1
-    return tuple(sorted(t1 + t2)), (-1 if inv & 1 else 1)
-
-
-def _merge_ann(t1, t2):
-    # both written descending; parity of merging to fully descending order
-    inv = 0
-    for x in t1:
-        for y in t2:
-            if x == y:
-                return None
-            if x < y:
                 inv += 1
     return tuple(sorted(t1 + t2)), (-1 if inv & 1 else 1)
 
@@ -150,21 +138,17 @@ def term_product(key_a: Key, key_b: Key) -> tuple[tuple[Key, int], ...]:
     cre_b, ann_b = key_b
     out: dict[Key, int] = {}
     for (cre_m, ann_m), c0 in _cross(tuple(reversed(ann_a)), cre_b):
-        mc = _merge_cre(cre_a, cre_m)
+        mc = _merge(cre_a, cre_m)
         if mc is None:
             continue
-        ma = _merge_ann(ann_m, ann_b)
+        # annihilations are written descending, ann_m then ann_b: reversed,
+        # that is ann_b + ann_m ascending
+        ma = _merge(ann_b, ann_m)
         if ma is None:
             continue
         key = (mc[0], ma[0])
         out[key] = out.get(key, 0) + c0 * mc[1] * ma[1]
     return tuple((k, c) for k, c in out.items() if c)
-
-
-def _mask_array(masks: list[int]) -> np.ndarray:
-    if masks and max(masks) >> MAX_MODES:
-        raise ValueError(f"fermionic operators support at most {MAX_MODES} modes")
-    return np.array(masks, dtype=np.uint64)
 
 
 class FermionOperator:
@@ -175,9 +159,11 @@ class FermionOperator:
 
     def __init__(self, terms: Mapping[Key, float] | None = None, constant: float = 0.0):
         terms = terms or {}
-        self._set(_mask_array([_mask(k[0]) for k in terms]),
-                  _mask_array([_mask(k[1]) for k in terms]),
-                  np.fromiter(terms.values(), float, len(terms)), constant)
+        masks = [_mask(k[0]) for k in terms] + [_mask(k[1]) for k in terms]
+        if masks and max(masks) >> MAX_MODES:
+            raise ValueError(f"fermionic operators support at most {MAX_MODES} modes")
+        cre, ann = np.array(masks, dtype=np.uint64).reshape(2, len(terms))
+        self._set(cre, ann, np.fromiter(terms.values(), float, len(terms)), constant)
 
     @classmethod
     def from_arrays(cls, cre: np.ndarray, ann: np.ndarray, coeffs: np.ndarray,
@@ -218,10 +204,7 @@ class FermionOperator:
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         terms = self.terms
-        for k, c in terms.items():
-            if abs(c - terms.get(conjugate_key(k), 0.0)) > tol:
-                return False
-        return True
+        return not any(abs(c - terms.get(conjugate_key(k), 0.0)) > tol for k, c in terms.items())
 
     def act(self, det: int) -> dict[int, float]:
         """Sparse action on one determinant: {det': <det'|op|det>}.
@@ -247,9 +230,14 @@ class FermionOperator:
         return f"FermionOperator({self.term_count()} terms, constant={self.constant:+.6g})"
 
 
-def normal_order_terms(events: Iterable[tuple[int, bool]],
-                       coefficient: float = 1.0) -> tuple[dict[Key, float], float]:
-    """``normal_order`` as a ``(terms, constant)`` pair of plain values."""
+def normal_order(events: Iterable[tuple[int, bool]],
+                 coefficient: float = 1.0) -> tuple[dict[Key, float], float]:
+    """Normal order a raw string of (index, is_creation) events, scaled by
+    ``coefficient``, into ``(terms, constant)`` with dust pruned.
+
+    Anticommutator contractions generate the lower-rank terms; the result is
+    canonical and the function is idempotent on already-canonical input.
+    """
     enc = tuple((int(q) << 1) | (1 if c else 0) for q, c in events)
     terms: dict[Key, float] = {}
     constant = 0.0
@@ -260,15 +248,6 @@ def normal_order_terms(events: Iterable[tuple[int, bool]],
             terms[key] = terms.get(key, 0.0) + coefficient * c
     terms = {k: c for k, c in terms.items() if abs(c) > ZERO_FLOOR}
     return terms, (0.0 if abs(constant) <= ZERO_FLOOR else constant)
-
-
-def normal_order(events: Iterable[tuple[int, bool]], coefficient: float = 1.0) -> FermionOperator:
-    """Normal order a raw string of (index, is_creation) events.
-
-    Anticommutator contractions generate the lower-rank terms; the result is
-    canonical and the function is idempotent on already-canonical input.
-    """
-    return FermionOperator(*normal_order_terms(events, coefficient))
 
 
 def apply_key_to_det(key: Key, det: int):
@@ -339,22 +318,50 @@ class FermionGenerator:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form single-generator conjugation e^{-theta A} E_i e^{theta A}.
-#
-# Each generator keeps a table from R-patterns to R-local commutators, built
-# with the Wick algebra once per pattern; repeated generators (angle merging,
-# stochastic re-picks) then reduce the transform to array passes and a merge.
+# Closed-form single-generator conjugation e^{-theta A} E_i e^{theta A}, with
+# R-local commutators read from tables built once per R-pattern and shape.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _gen_cache(gen: FermionGenerator) -> dict:
-    """The generator's pattern table, filled as patterns are met."""
-    return {"gkey": gen.excitation, "gsign": gen.sign, "support": key_support(gen.excitation),
-            "ids": {}, "patterns": [], "rows": []}
+def _shape(gen: FermionGenerator) -> tuple[tuple[int, ...], dict]:
+    """The generator's support R in ascending order, and its shape's table.
+
+    Generators whose creations sit at the same positions within R share one
+    table, built for sign +1 on the canonical support 0..|R|-1: the Wick
+    algebra only compares indices, so an order-preserving relabeling maps its
+    outputs one to one and in the same order, and the sign scales [E,A] and
+    leaves [[E,A],A].
+    """
+    modes = _indices(key_support(gen.excitation))
+    cre = gen.excitation[0]
+    return modes, _shape_table(len(modes), sum(1 << k for k, q in enumerate(modes) if q in cre))
+
+
+@lru_cache(maxsize=64)
+def _shape_table(size: int, cre_positions: int) -> dict:
+    """The pattern table of one shape, filled as patterns are met."""
+    cre = _indices(cre_positions)
+    ann = tuple(k for k in range(size) if k not in cre)
+    return {"gkey": (cre, ann), "gmasks": (_mask(cre), _mask(ann)), "gsign": 1,
+            "support": (1 << size) - 1, "ids": {}, "patterns": [], "rows": []}
+
+
+def _relabel(masks: np.ndarray, src: Iterable[int], dst: Iterable[int]) -> np.ndarray:
+    """Masks with bit src[k] moved to bit dst[k]; other bits dropped."""
+    out = np.zeros_like(masks)
+    for a, b in zip(src, dst):
+        out |= ((masks >> np.uint64(a)) & np.uint64(1)) << np.uint64(b)
+    return out
 
 
 def _comm_with_gen(key: Key, cache: dict) -> tuple[tuple[Key, int], ...]:
-    """[key, A] with A = sign (E_g - E_g+), integer coefficients."""
+    """[key, A] with A = sign (E_g - E_g+) for an R-local key, integer
+    coefficients.  A maps only between the R-configurations "P occupied" and
+    "Q occupied"; a key that neither acts on nor lands in either has
+    key A = A key = 0, and no Wick algebra runs."""
+    cre, ann = _mask(key[0]), _mask(key[1])
+    if not any((ann & ~x) == 0 and not cre & x & ~ann or (cre & ~x) == 0 and not ann & x & ~cre
+               for x in cache["gmasks"]):
+        return ()
     g = cache["gkey"]
     gd = conjugate_key(g)
     acc: dict[Key, int] = {}
@@ -386,7 +393,7 @@ def _pattern_entry(cre_r: int, ann_r: int, cache: dict):
 
 
 def _pattern_table(patterns: list[tuple[int, int]], cache: dict):
-    """Ids of ``patterns`` in the generator's table, and the table as CSR.
+    """Ids of ``patterns`` in a shape's table, and the table as CSR.
 
     Patterns not seen before are tabulated first.  The table holds per id
     ``(linear, start, length)`` and per row ``(f_cre, f_ann, coeff,
@@ -418,18 +425,14 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
 
     A is even and acts only on its support R = P u Q (P its creation, Q its
     annihilation indices), so with E = sigma(E) E_R E_rest, sigma the sign of
-    moving the R operators to the front, E_rest commutes with A and
-    [E,A] = sigma(E) [E_R,A] E_rest.  Keys with no index in R pass through
-    unchanged.  The others read [E_R,A] and [[E_R,A],A] from the table entry
-    of their R-pattern (cre & R, ann & R); no Wick algebra runs per key.  Each
-    R-local output F_j maps to F_j E_rest = sigma(F_j u rest) canonical(F_j u
-    rest).
-
-    A canonical key is written creations ascending, annihilations descending.
-    Moving its R operators to the front passes, for a creation x in R, the
-    rest creations below x; for an annihilation x in R, the rest
-    annihilations above x and then every rest creation.  With bit x of
-    ``cre_odd`` (``ann_odd``) set when that count is odd, the sign of an
+    moving the R operators to the front, [E,A] = sigma(E) [E_R,A] E_rest.
+    Keys with no index in R pass through.  The others read [E_R,A] and
+    [[E_R,A],A] from the table entry of their R-pattern (cre & R, ann & R),
+    and each R-local output F maps to sigma(F u rest) canonical(F u rest).
+    Written canonically (creations ascending, annihilations descending), a
+    creation x in R moves past the rest creations below x, an annihilation x
+    in R past the rest annihilations above x and every rest creation; with
+    bit x of ``cre_odd`` (``ann_odd``) set when that count is odd, sigma of
     R-local (cre_r, ann_r) has the parity of popcount(cre_r & cre_odd) +
     popcount(ann_r & ann_odd).
 
@@ -450,19 +453,20 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
     """
     if theta == 0.0:
         return op
-    cache = _gen_cache(gen)
-    support = np.uint64(cache["support"])
+    modes, table = _shape(gen)
+    canonical = range(len(modes))
+    support = np.uint64(key_support(gen.excitation))
     cre, ann, h = op.cre, op.ann, op.coeffs
     touched = np.flatnonzero(((cre | ann) & support) != 0)
-    # group the touched keys by R-pattern
-    cre_r, ann_r = cre[touched] & support, ann[touched] & support
+    # group the touched keys by R-pattern, in canonical positions
+    cre_r, ann_r = (_relabel(m[touched], modes, canonical) for m in (cre, ann))
     order = np.lexsort((ann_r, cre_r))
     head = np.ones(order.size, dtype=bool)
     head[1:] = (np.diff(cre_r[order]) != 0) | (np.diff(ann_r[order]) != 0)
     which = np.empty(order.size, dtype=np.int64)
     which[order] = np.cumsum(head) - 1
     ids, (linear, start, length, f_cre, f_ann, coeff, second) = _pattern_table(
-        list(zip(cre_r[order][head].tolist(), ann_r[order][head].tolist())), cache)
+        list(zip(cre_r[order][head].tolist(), ann_r[order][head].tolist())), table)
     which = ids[which]
     rows = length[which]
     keys = touched[rows > 0]
@@ -482,10 +486,12 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
     owner = np.repeat(np.arange(keys.size), rows)
     local = np.arange(owner.size) - np.repeat(np.cumsum(rows) - rows, rows)
     src = start[which][owner] + local
+    f_cre, f_ann = (_relabel(m[src], canonical, modes) for m in (f_cre, f_ann))
     cre_odd, ann_odd = cre_odd[owner], ann_odd[owner]
-    row_parity = (parity[owner] + np.bitwise_count(f_cre[src] & cre_odd)
-                  + np.bitwise_count(f_ann[src] & ann_odd))
-    c = np.where(row_parity & 1, -coeff[src], coeff[src])
+    row_parity = (parity[owner] + np.bitwise_count(f_cre & cre_odd)
+                  + np.bitwise_count(f_ann & ann_odd))
+    c = coeff[src] * np.where(second[src], 1.0, float(gen.sign))
+    c = np.where(row_parity & 1, -c, c)
     row_vals = np.where(second[src], hfc[owner], hfs[owner]) * c
 
     # the sequence a dict loop would see: each key, then its rows
@@ -495,8 +501,8 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
     size = h.size + owner.size
     pos = slot[keys][owner] + 1 + local
     seq = [np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size)]
-    for arr, mine, theirs in zip(seq, (cre, ann, h), (f_cre[src] | cre_rest[owner],
-                                                      f_ann[src] | ann_rest[owner], row_vals)):
+    for arr, mine, theirs in zip(seq, (cre, ann, h), (f_cre | cre_rest[owner],
+                                                      f_ann | ann_rest[owner], row_vals)):
         arr[slot] = mine
         arr[pos] = theirs
     (cre, ann), coeffs = _merge_first_seen((seq[0], seq[1]), seq[2])

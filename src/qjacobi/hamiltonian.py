@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fcidump import FCIDumpData
-from .fermion import FermionOperator, Key, normal_order_terms
+from .fermion import FermionOperator, Key, normal_order
 
 _HERMITICITY_TOL = 1e-10
 
@@ -79,7 +79,7 @@ def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
 
     def add(events, coefficient):
         nonlocal constant
-        piece, piece_constant = normal_order_terms(events, coefficient)
+        piece, piece_constant = normal_order(events, coefficient)
         constant += piece_constant
         for k, c in piece.items():
             terms[k] = terms.get(k, 0.0) + c

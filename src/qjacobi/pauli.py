@@ -72,8 +72,8 @@ def _merge_first_seen(keys: tuple[np.ndarray, ...], vals: np.ndarray):
 class TermsView(Mapping):
     """Read-only ``{key: coeff}`` view of an array-backed operator, in term order.
 
-    ``len`` reads the array size; keys come from the operator's ``_keys``;
-    lookups build a dict on first use.
+    ``len`` reads the array size; iteration and lookups build a dict from the
+    operator's ``_keys`` on first use.
     """
 
     def __init__(self, op):
@@ -83,7 +83,7 @@ class TermsView(Mapping):
         return self._op.coeffs.size
 
     def __iter__(self):
-        return self._op._keys()
+        return iter(self._dict)
 
     def __getitem__(self, key):
         return self._dict[key]
@@ -93,7 +93,7 @@ class TermsView(Mapping):
 
     @cached_property
     def _dict(self) -> dict:
-        return dict(zip(self, self._op.coeffs.tolist()))
+        return dict(zip(self._op._keys(), self._op.coeffs.tolist()))
 
 
 class PauliOperator:

@@ -12,12 +12,17 @@ import math
 import numpy as np
 
 from qjacobi.fermion import (IDENTITY_KEY, ZERO_FLOOR, FermionOperator, apply_key_to_det,
-                             conjugate_key, key_support, term_product)
+                             conjugate_key, key_support, normal_order, term_product)
 
 
 # ---------------------------------------------------------------------------
 # Operator algebra
 # ---------------------------------------------------------------------------
+
+def normal_op(events, coefficient=1.0):
+    """``normal_order`` as a FermionOperator."""
+    return FermionOperator(*normal_order(events, coefficient))
+
 
 def scaled(op, factor):
     return FermionOperator({k: factor * c for k, c in op.terms.items()}, factor * op.constant)

@@ -17,8 +17,7 @@ from qjacobi.cumulant import cumulant_decompose
 from qjacobi.diagnostics import (WeightDistribution, participation_ratio,
                                  shannon_entropy, topk_mass)
 from qjacobi.fci import dense_matrix
-from qjacobi.fermion import (FermionGenerator, FermionOperator,
-                             bch_transform, normal_order)
+from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
 from qjacobi.jacobi import (EffectiveBlock, RunConfig, diagonal_element,
                             generator_from_determinant, merge_step,
                             run_quantum_jacobi, solve_givens)
@@ -28,7 +27,7 @@ from qjacobi.statevector import (Circuit, GivensStep, apply_circuit,
                                  apply_fermionic_rotation, apply_step,
                                  expectation_exact, expectation_sampled,
                                  prepare_determinant)
-from support import fidelity, generator_operator
+from support import fidelity, generator_operator, normal_op
 
 
 @contextmanager
@@ -150,7 +149,7 @@ def test_criterion_6_cumulant_hf_expectation():
             for l in (1, 2, 3, 4):
                 for spect in itertools.combinations(range(n_occ), l):
                     events = [(p, True) for p in spect] + [(q, False) for q in reversed(spect)]
-                    op = normal_order(events, coeff)
+                    op = normal_op(events, coeff)
                     out = cumulant_decompose(op, kappa, ref)
                     before = diagonal_element(op, ref)
                     after = diagonal_element(out, ref)

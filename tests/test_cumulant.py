@@ -2,9 +2,9 @@ import itertools
 
 
 from qjacobi.cumulant import cumulant_decompose
-from qjacobi.fermion import FermionOperator, normal_order
+from qjacobi.fermion import FermionOperator
 from qjacobi.jacobi import diagonal_element
-from support import classify_indices, excitation_rank, max_rank, plus
+from support import classify_indices, excitation_rank, max_rank, normal_op, plus
 
 KAPPA = 1e-3
 SMALL = 1e-4  # below kappa, triggers decomposition
@@ -13,7 +13,7 @@ SMALL = 1e-4  # below kappa, triggers decomposition
 def e_term(upper, lower, coeff=1.0):
     """Build coeff * E^{upper}_{lower} in the written pure-then-spectator order."""
     events = [(p, True) for p in upper] + [(q, False) for q in reversed(lower)]
-    return normal_order(events, coeff)
+    return normal_op(events, coeff)
 
 
 def assert_ops_close(a, b, tol=1e-12):

@@ -11,14 +11,14 @@ from scipy.linalg import expm
 from qjacobi import fermion
 from qjacobi.cumulant import cumulant_decompose
 from qjacobi.fci import dense_matrix
-from qjacobi.fermion import (FermionGenerator, FermionOperator, _gen_cache, _pattern_table,
-                             _reorder, apply_key_to_det, bch_transform, conjugate_key,
-                             key_events, key_support, normal_order, term_product)
+from qjacobi.fermion import (FermionGenerator, FermionOperator, _pattern_table, _reorder,
+                             _shape, _shape_table, apply_key_to_det, bch_transform, conjugate_key,
+                             key_events, key_support, term_product)
 from qjacobi.jacobi import (RunConfig, classical_residual, generator_from_determinant,
                             run_quantum_jacobi, select_deterministic, truncate)
 from support import (act_loop, bch_loop, classify_indices, commutator, cumulant_loop,
-                     excitation_rank, generator_operator, max_rank, multiply, plus, scaled,
-                     truncate_loop)
+                     excitation_rank, generator_operator, max_rank, multiply, normal_op, plus,
+                     scaled, truncate_loop)
 
 
 def op_from_terms(*pairs, constant=0.0):
@@ -54,24 +54,24 @@ def random_pure_excitation(rng, n_orb, max_rank=2):
 class TestNormalOrder:
     def test_anticommutation(self):
         # a_0 a+_0 = 1 - a+_0 a_0
-        op = normal_order([(0, False), (0, True)])
+        op = normal_op([(0, False), (0, True)])
         assert op.constant == 1.0
         assert op.terms == {((0,), (0,)): -1.0}
 
     def test_canonical_parity(self):
         # a+_1 a+_0 a_0 a_1 -> +E^{01}_{01} (two transpositions)
-        op = normal_order([(1, True), (0, True), (0, False), (1, False)])
+        op = normal_op([(1, True), (0, True), (0, False), (1, False)])
         assert op.constant == 0.0
         assert op.terms == {((0, 1), (0, 1)): 1.0}
 
     def test_contraction_expansion(self):
         # a+_0 a_1 a+_1 a_0 = a+_0 a_0 - a+_0 a+_1 a_1 a_0
-        op = normal_order([(0, True), (1, False), (1, True), (0, False)])
+        op = normal_op([(0, True), (1, False), (1, True), (0, False)])
         assert op.terms == {((0,), (0,)): 1.0, ((0, 1), (0, 1)): -1.0}
 
     def test_matches_dense_matrix(self):
         raw = [(0, True), (1, False), (1, True), (0, False)]
-        op = normal_order(raw)
+        op = normal_op(raw)
 
         def elementary(q, cre):
             m = np.zeros((4, 4), dtype=complex)
@@ -90,14 +90,14 @@ class TestNormalOrder:
         rng = random.Random(1)
         for _ in range(50):
             key = random_key(rng, 4)
-            op = normal_order(key_to_events(key))
+            op = normal_op(key_to_events(key))
             if not op.terms:
                 continue
             (k2, c2), = op.terms.items()
             assert k2 == key and c2 == 1.0
 
     def test_repeated_index_is_zero(self):
-        op = normal_order([(0, True), (0, True), (1, False), (2, False)])
+        op = normal_op([(0, True), (0, True), (1, False), (2, False)])
         assert not op.terms and op.constant == 0.0
 
 
@@ -303,11 +303,14 @@ class TestClosedFormCase:
                                             ((1, 3, 6), (0, 4, 5))])
     def test_overlap_rule_matches_symbolic_oracle(self, excitation):
         gen = FermionGenerator(excitation)
-        support = key_support(excitation)
+        modes, table = _shape(gen)
+
+        def canonical(indices):  # positions within the support, as a mask
+            return sum(1 << k for k, q in enumerate(modes) if q in indices)
+
         keys = list(canonical_keys(8, 4))
-        patterns = [(key_support((cre, ())) & support, key_support(((), ann)) & support)
-                    for cre, ann in keys]
-        ids, (linear, _, length, *_) = _pattern_table(patterns, _gen_cache(gen))
+        patterns = [(canonical(cre), canonical(ann)) for cre, ann in keys]
+        ids, (linear, _, length, *_) = _pattern_table(patterns, table)
         cases = set()
         for key, pattern, i in zip(keys, patterns, ids):
             expected = closes_linearly(key, gen)
@@ -348,13 +351,13 @@ class TestPatternTables:
         # every canonical key on 8 modes up to rank 4, against the Wick algebra
         # of the full key, term by term
         gen = FermionGenerator(excitation, sign)
-        _gen_cache.cache_clear()
+        _shape_table.cache_clear()
         rng = random.Random(len(excitation[0]) * sign)
         op = FermionOperator({key: rng.uniform(-1.0, 1.0) for key in canonical_keys(8, 4)})
         expected = bch_loop(op, gen, 0.7)
         out = bch_transform(op, gen, 0.7)
         assert (list(out.terms.items()), out.constant) == (list(expected[0].items()), expected[1])
-        assert len(_gen_cache(gen)["ids"]) <= 4 ** len(excitation[0] + excitation[1])
+        assert len(_shape(gen)[1]["ids"]) <= 4 ** len(excitation[0] + excitation[1])
         # with every pattern tabulated, keys map through masks alone
 
         def no_wick(*args):
@@ -365,13 +368,20 @@ class TestPatternTables:
         assert list(again.terms.items()) == list(out.terms.items())
 
 
+    def test_shapes_share_one_table(self):
+        # same creation positions within the support, any placement and sign
+        table = _shape(FermionGenerator(((2, 7), (0, 4))))[1]
+        assert _shape(FermionGenerator(((3, 9), (1, 5)), -1))[1] is table
+        assert _shape(FermionGenerator(((0, 7), (2, 4))))[1] is not table
+
+
 class TestCacheState:
     def test_trace_independent_of_cache_state(self, h4):
         cfg = dict(method="cfqj", epsilon=1e-4, kappa=1e-3, rng_seed=5)
         run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=20))
         warm = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
-        assert _gen_cache.cache_info().currsize
-        for cached in (_gen_cache, term_product, fermion._cross, _reorder):
+        assert _shape_table.cache_info().currsize
+        for cached in (_shape_table, term_product, fermion._cross, _reorder):
             cached.cache_clear()
         cold = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
         assert cold == warm
@@ -409,9 +419,13 @@ def fermion_cases(draw):
     n = draw(st.integers(2, 8))
 
     def key():
+        # the first ``shared`` creation modes are annihilated too (spectators)
         rank = draw(st.integers(1, min(5, n)))
-        cre, ann = (draw(st.lists(st.integers(0, n - 1), min_size=rank, max_size=rank,
-                                  unique=True)) for _ in range(2))
+        cre = draw(st.lists(st.integers(0, n - 1), min_size=rank, max_size=rank, unique=True))
+        shared = draw(st.integers(0, rank))
+        ann = cre[:shared] + draw(st.lists(st.integers(0, n - 1).filter(
+            lambda q: q not in cre[:shared]), min_size=rank - shared, max_size=rank - shared,
+            unique=True))
         return (tuple(sorted(cre)), tuple(sorted(ann)))
 
     keys = [key() for _ in range(draw(st.integers(0, 20)))]
@@ -442,7 +456,8 @@ class TestArrayPassesMatchLoops:
         assert_same_terms(bch_transform(op, gen, theta), bch_loop(op, gen, theta))
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(fermion_cases(), st.sampled_from([1e-3, 0.3, 1.0, 3.0]), st.integers(0, 255))
+    @given(fermion_cases(), st.sampled_from([1e-3, 0.3, 1.0, 3.0]),
+           st.just(255) | st.integers(0, 255))
     def test_cumulant_decompose(self, case, kappa, reference):
         n, op, gen = case
         reference &= (1 << n) - 1
