@@ -17,6 +17,8 @@ from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
+# numpy loads numpy.random lazily: load it with the package, not in the first run
+from numpy.random import SeedSequence, default_rng
 
 from .cumulant import cumulant_decompose
 from .fermion import FermionGenerator, FermionOperator, bch_transform
@@ -311,13 +313,13 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
     else:
         h_approx = problem.hamiltonian
 
-    seed_seq = np.random.SeedSequence(config.rng_seed)
+    seed_seq = SeedSequence(config.rng_seed)
     sel_seed, meas_seed = seed_seq.spawn(2)
-    sel_rng = np.random.default_rng(sel_seed)
+    sel_rng = default_rng(sel_seed)
     if backend is None:
         backend = StatevectorBackend(problem.n_qubits, phi0, problem.hamiltonian,
                                      shots_per_term=config.shots_per_term,
-                                     rng=np.random.default_rng(meas_seed))
+                                     rng=default_rng(meas_seed))
 
     residual_source = "exact" if config.method not in _TRUNCATED else "approximate"
     energy = diagonal_element(h_approx, phi0)
