@@ -2,20 +2,20 @@
 """Alternating parent/change benchmark pairs, recorded in a BENCH_<n>.json.
 
     python3 scripts/bench_ab.py --parent REV --change REV --workload W --seed S \\
-        --pairs N [--trace 0|1] [--out BENCH_<n>.json]
+        --pairs N [--trace 0|1]
 
 Each revision is checked out with ``git worktree add --detach`` under
 ``.perfbench_out/`` and removed at the end.  Pair i runs the unchanged
 ``perfbench/run.py`` once in each checkout, the parent first in odd pairs and
 the change first in even ones, with the benchmark's default run length.
-Every run is appended to the output file, with its last stdout line as
-recorded.  By default that is the highest-numbered ``BENCH_<n>.json`` at the
-repository root when it records the same two commits, else a new one with
-the next number.  The file then
-gets a ``summary`` per workload, seed and trace mode.  For every metric it
-holds each side's median and quartiles, the pairs the change won, and the gap
-between the medians against the parent's interquartile range.  For untraced
-runs it also says whether the JSONL sha256 lists of the two sides match.
+Every run is appended, with its last stdout line as recorded, to the
+highest-numbered ``BENCH_<n>.json`` at the repository root when it records
+the same two commits (so one file collects every workload of a change), else
+to a new one with the next number.  The file then gets a ``summary`` per
+workload, seed and trace mode.  For every metric it holds each side's median
+and quartiles, the pairs the change won, and the gap between the medians
+against the parent's interquartile range.  For untraced runs it also says
+whether the JSONL sha256 lists of the two sides match.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def directions() -> dict[str, bool]:
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
-def default_out(commits: dict[str, str]) -> Path:
+def bench_path(commits: dict[str, str]) -> Path:
     """The highest-numbered BENCH_<n>.json if it records these two commits,
     else the next number."""
     numbered = sorted((int(p.stem[6:]), p) for p in ROOT.glob("BENCH_*.json")
@@ -138,16 +138,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    out_path = args.out or default_out(commits)
+    out_path = bench_path(commits)
     bench = json.loads(out_path.read_text()) if out_path.exists() else {}
-    if bench and (bench["parent"]["commit"], bench["change"]["commit"]) != (
-            commits["parent"], commits["change"]):
-        parser.error(f"{out_path} records other commits")
 
     WORK_DIR.mkdir(exist_ok=True)
     paths = {side: WORK_DIR / f"ab-{side}-{sha[:12]}" for side, sha in commits.items()}

@@ -295,6 +295,8 @@ class FermionGenerator:
             raise ValueError("generator must be a particle-conserving excitation")
         if set(cre) & set(ann):
             raise ValueError("generator contains a spectator index")
+        if max(cre + ann) >= MAX_MODES:
+            raise ValueError(f"fermionic operators support at most {MAX_MODES} modes")
         if self.sign not in (-1, 1):
             raise ValueError("generator sign must be +1 or -1")
 
@@ -341,8 +343,8 @@ def _shape_table(size: int, cre_positions: int) -> dict:
     """The pattern table of one shape, filled as patterns are met."""
     cre = _indices(cre_positions)
     ann = tuple(k for k in range(size) if k not in cre)
-    return {"gkey": (cre, ann), "gmasks": (_mask(cre), _mask(ann)), "gsign": 1,
-            "support": (1 << size) - 1, "ids": {}, "patterns": [], "rows": []}
+    return {"gkey": (cre, ann), "gmasks": (_mask(cre), _mask(ann)), "support": (1 << size) - 1,
+            "ids": {}, "patterns": [], "rows": []}
 
 
 def _relabel(masks: np.ndarray, src: Iterable[int], dst: Iterable[int]) -> np.ndarray:
@@ -354,10 +356,11 @@ def _relabel(masks: np.ndarray, src: Iterable[int], dst: Iterable[int]) -> np.nd
 
 
 def _comm_with_gen(key: Key, cache: dict) -> tuple[tuple[Key, int], ...]:
-    """[key, A] with A = sign (E_g - E_g+) for an R-local key, integer
-    coefficients.  A maps only between the R-configurations "P occupied" and
-    "Q occupied"; a key that neither acts on nor lands in either has
-    key A = A key = 0, and no Wick algebra runs."""
+    """[key, A] with A = E_g - E_g+ for an R-local key, integer coefficients;
+    tables are built for sign +1 and ``bch_transform`` applies the sign.  A
+    maps only between the R-configurations "P occupied" and "Q occupied"; a
+    key that neither acts on nor lands in either has key A = A key = 0, and
+    no Wick algebra runs."""
     cre, ann = _mask(key[0]), _mask(key[1])
     if not any((ann & ~x) == 0 and not cre & x & ~ann or (cre & ~x) == 0 and not ann & x & ~cre
                for x in cache["gmasks"]):
@@ -368,8 +371,7 @@ def _comm_with_gen(key: Key, cache: dict) -> tuple[tuple[Key, int], ...]:
     for left, right, sign in ((key, g, 1), (g, key, -1), (key, gd, -1), (gd, key, 1)):
         for kk, c in term_product(left, right):
             acc[kk] = acc.get(kk, 0) + sign * c
-    s = cache["gsign"]
-    return tuple((k, s * c) for k, c in acc.items() if c)
+    return tuple((k, c) for k, c in acc.items() if c)
 
 
 def _pattern_entry(cre_r: int, ann_r: int, cache: dict):

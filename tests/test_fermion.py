@@ -18,7 +18,7 @@ from qjacobi.jacobi import (RunConfig, classical_residual, generator_from_determ
                             run_quantum_jacobi, select_deterministic, truncate)
 from support import (act_loop, bch_loop, classify_indices, commutator, cumulant_loop,
                      excitation_rank, generator_operator, max_rank, multiply, normal_op, plus,
-                     scaled, truncate_loop)
+                     scaled, truncate_loop, wick_structure)
 
 
 def op_from_terms(*pairs, constant=0.0):
@@ -348,15 +348,36 @@ class TestPatternTables:
     @pytest.mark.parametrize("excitation", [((6,), (1,)), ((2, 7), (0, 4)),
                                             ((1, 3, 6), (0, 4, 5))])
     def test_tables_match_wick_oracle_in_order(self, excitation, sign, monkeypatch):
-        # every canonical key on 8 modes up to rank 4, against the Wick algebra
-        # of the full key, term by term
+        # every canonical key on 8 modes up to rank 4: the sequence handed to
+        # the merge is, key by key, the key itself and then its [E,A] and
+        # [[E,A],A] terms from the Wick algebra of the full key, in order
         gen = FermionGenerator(excitation, sign)
         _shape_table.cache_clear()
         rng = random.Random(len(excitation[0]) * sign)
         op = FermionOperator({key: rng.uniform(-1.0, 1.0) for key in canonical_keys(8, 4)})
-        expected = bch_loop(op, gen, 0.7)
-        out = bch_transform(op, gen, 0.7)
-        assert (list(out.terms.items()), out.constant) == (list(expected[0].items()), expected[1])
+        theta = 0.7
+        factors = {True: (math.sin(theta), 1.0 - math.cos(theta)),
+                   False: (0.5 * math.sin(2.0 * theta), 0.5 * math.sin(theta) ** 2)}
+        expected = []
+        for key, h in op.terms.items():
+            expected.append((key, h))
+            struct = wick_structure(key, gen)
+            if struct is not None:
+                linear, c1, c2 = struct
+                fs, fc = factors[linear]
+                expected += [(k, h * fs * c) for k, c in c1] + [(k, h * fc * c) for k, c in c2]
+        expected = [((fermion._mask(k[0]), fermion._mask(k[1])), v) for k, v in expected]
+        merge, sequences = fermion._merge_first_seen, []
+
+        def recording_merge(keys, vals):
+            sequences.append(list(zip(zip(*(k.tolist() for k in keys)), vals.tolist())))
+            return merge(keys, vals)
+
+        monkeypatch.setattr(fermion, "_merge_first_seen", recording_merge)
+        out = bch_transform(op, gen, theta)
+        assert sequences == [expected]
+        loop = bch_loop(op, gen, theta)
+        assert (list(out.terms.items()), out.constant) == (list(loop[0].items()), loop[1])
         assert len(_shape(gen)[1]["ids"]) <= 4 ** len(excitation[0] + excitation[1])
         # with every pattern tabulated, keys map through masks alone
 
@@ -364,9 +385,9 @@ class TestPatternTables:
             raise AssertionError("Wick algebra called per key")
 
         monkeypatch.setattr(fermion, "term_product", no_wick)
-        again = bch_transform(op, gen, 0.7)
+        again = bch_transform(op, gen, theta)
+        assert sequences[1] == expected
         assert list(again.terms.items()) == list(out.terms.items())
-
 
     def test_shapes_share_one_table(self):
         # same creation positions within the support, any placement and sign
@@ -514,3 +535,8 @@ class TestArrayPassesMatchLoops:
         FermionOperator({((63,), (0,)): 1.0})  # fine
         with pytest.raises(ValueError, match="64 modes"):
             FermionOperator({((64,), (0,)): 1.0})
+
+    def test_generator_beyond_64_modes_rejected(self):
+        FermionGenerator(((63,), (0,)))  # fine
+        with pytest.raises(ValueError, match="64 modes"):
+            FermionGenerator(((70,), (0,)))
