@@ -210,10 +210,11 @@ class FermionOperator:
         """Sparse action on one determinant: {det': <det'|op|det>}.
 
         The constant is entered at ``det`` first, then every term adds its
-        coefficient, signed as ``apply_key_to_det`` signs it, in term order.
-        That sign's parity is the number of (creation, annihilation) pairs
-        with the annihilation below, plus k(k-1)/2 for k annihilations, plus
-        the occupied modes of ``det`` below each acted index.
+        coefficient in term order, signed as its operators act one by one, each
+        counting the occupied modes below it.  That sign's parity is the number
+        of (creation, annihilation) pairs with the annihilation below, plus
+        k(k-1)/2 for k annihilations, plus the occupied modes of ``det`` below
+        each acted index.
         """
         d = np.uint64(det)
         cre, ann = self.cre, self.ann
@@ -250,33 +251,6 @@ def normal_order(events: Iterable[tuple[int, bool]],
     return terms, (0.0 if abs(constant) <= ZERO_FLOOR else constant)
 
 
-def apply_key_to_det(key: Key, det: int):
-    """Apply a canonical term to a determinant bitstring.
-
-    Returns ``(sign, new_det)`` or ``None`` when the term annihilates the
-    state.  Parity counts occupied modes below the acted index, consistent
-    with the Jordan-Wigner convention.
-    """
-    cre, ann = key
-    d = det
-    sign = 1
-    for q in ann:  # a_{q1} acts first (ascending)
-        b = 1 << q
-        if not d & b:
-            return None
-        if (d & (b - 1)).bit_count() & 1:
-            sign = -sign
-        d ^= b
-    for p in reversed(cre):  # a+_{pn} acts first (descending)
-        b = 1 << p
-        if d & b:
-            return None
-        if (d & (b - 1)).bit_count() & 1:
-            sign = -sign
-        d |= b
-    return sign, d
-
-
 @dataclass(frozen=True)
 class FermionGenerator:
     """Givens generator A = E - E+ built from a single pure excitation.
@@ -311,12 +285,13 @@ class FermionGenerator:
         if reference.bit_count() != target.bit_count():
             raise ValueError("determinants differ in particle number")
         diff = reference ^ target
-        ann = tuple(q for q in range(diff.bit_length()) if diff >> q & 1 and reference >> q & 1)
-        cre = tuple(q for q in range(diff.bit_length()) if diff >> q & 1 and target >> q & 1)
-        key = (cre, ann)
-        res = apply_key_to_det(key, reference)
-        assert res is not None and res[1] == target
-        return cls(key, res[0])
+        cre, ann = _indices(diff & target), _indices(diff & reference)
+        # a_{q1} acts first, then a+_{pn}: each sign counts the occupied modes
+        # below its index, and the earlier annihilations all sit below q
+        mid = reference & ~diff
+        parity = (sum((reference & ((1 << q) - 1)).bit_count() - j for j, q in enumerate(ann))
+                  + sum((mid & ((1 << p) - 1)).bit_count() for p in cre))
+        return cls((cre, ann), -1 if parity & 1 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -43,30 +43,6 @@ def hf_determinant_bits(n_electrons: int, ms2: int = 0) -> int:
     return det
 
 
-def hf_energy(data: FCIDumpData) -> float:
-    """Independent closed-shell style HF energy over occupied spin orbitals.
-
-    E = sum_i h_ii + 1/2 sum_ij [(ii|jj) - (ij|ji)] + core, with i, j running
-    over occupied spin orbitals and spin deltas applied to the exchange term.
-    """
-    occ = []
-    n_alpha = (data.n_electrons + data.ms2) // 2
-    n_beta = data.n_electrons - n_alpha
-    for i in range(n_alpha):
-        occ.append((i + 1, 0))
-    for i in range(n_beta):
-        occ.append((i + 1, 1))
-    e = data.core_energy
-    for p, _ in occ:
-        e += data.one(p, p)
-    for p, sp in occ:
-        for q, sq in occ:
-            e += 0.5 * data.two(p, p, q, q)
-            if sp == sq:
-                e -= 0.5 * data.two(p, q, q, p)
-    return e
-
-
 def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
     """Assemble H = sum h_pq a+_p a_q + 1/2 sum (pq|rs) a+_p a+_r a_s a_q + core.
 

@@ -319,7 +319,8 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
     if backend is None:
         backend = StatevectorBackend(problem.n_qubits, phi0, problem.hamiltonian,
                                      shots_per_term=config.shots_per_term,
-                                     rng=default_rng(meas_seed))
+                                     rng=default_rng(meas_seed),
+                                     fermionic=flavor == "fermionic")
 
     residual_source = "exact" if config.method not in _TRUNCATED else "approximate"
     energy = diagonal_element(h_approx, phi0)

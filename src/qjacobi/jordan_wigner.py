@@ -5,7 +5,7 @@ Convention: qubit q holds the occupation of spin orbital q, and
     a+_p = (X_p - i Y_p)/2 . Z_{p-1} .. Z_0
     a_p  = (X_p + i Y_p)/2 . Z_{p-1} .. Z_0
 
-which reproduces the parity signs used by ``fermion.apply_key_to_det``.
+which reproduces the parity signs of ``FermionOperator.act``.
 """
 
 from __future__ import annotations

@@ -5,12 +5,14 @@ applied natively in the determinant basis through the nilpotent closed form
 e^{theta A} = 1 + sin(theta) A + (1 - cos(theta)) A^2; Pauli rotations through
 e^{i theta P} = cos(theta) + i sin(theta) P.
 
-Each excitation or Pauli string acts through a determinant map (source and
-target indices, a +-1 sign) computed once per register size and cached; a
-backend compiles its Hamiltonian once into term-ordered sparse arrays for
-exact values, or into per-string gather tables in draw order for sampled
-ones.  All of them keep the floating-point operations of the term-by-term
-action, so every value is bit-identical to it.
+Each fermionic generator or Pauli string acts through a determinant map
+computed once and cached.  Fermionic circuits never leave the reference's
+particle-number sector (70 of 256 amplitudes on H4, 924 of 4,096 on H6), so a
+backend for them replays states there.  A backend compiles its Hamiltonian
+once into term-ordered sparse arrays for exact values, or into per-string
+gather tables in draw order for sampled ones.  All of them keep the
+floating-point operations of the term-by-term action, so every value is
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, singledispatch
+from typing import NamedTuple
 
 import numpy as np
 
-from .fermion import FermionGenerator, FermionOperator, Key, conjugate_key
+from .fermion import FermionGenerator, FermionOperator, Key
 from .jordan_wigner import jordan_wigner
 from .pauli import PauliGenerator, PauliOperator
 
@@ -89,6 +92,23 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+class Sector(NamedTuple):
+    """The determinants of ``n_qubits`` holding ``n_particles`` electrons, or
+    all of them when that is None; a state on a sector lists their amplitudes
+    in increasing order."""
+
+    n_qubits: int
+    n_particles: int | None = None
+
+
+@lru_cache(maxsize=8)
+def _sector_dets(sector: Sector) -> np.ndarray:
+    register = _register(1 << sector.n_qubits)
+    if sector.n_particles is None:
+        return register
+    return _read_only(register[np.bitwise_count(register) == sector.n_particles])[0]
+
+
 def _excitation_entries(key: Key, dets: np.ndarray):
     """``(src, target, sign)`` with E|src> = sign |target> for every
     determinant in ``dets`` (uint64) that the canonical term does not kill."""
@@ -110,14 +130,22 @@ def _excitation_entries(key: Key, dets: np.ndarray):
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _excitation_map(key: Key, dim: int):
-    """Cached, read-only ``(src, target, sign)`` of one term on a 2^n register.
+def _rotation_map(gen: FermionGenerator, sector: Sector):
+    """Cached, read-only ``(out, src, weight)``: (A psi)[out] = weight psi[src]
+    in sector positions for A = s(E - E+), zero elsewhere.
 
-    A map has at most 2^(n-1) entries of two int32 indices and an int8 sign,
-    so the cache holds at most _MAP_CACHE_SIZE * 4.5 * 2^n bytes of arrays:
-    36 MiB at 12 qubits, 576 MiB at 16.
+    E+ maps each target of E back to its source with the same sign, so the two
+    have disjoint sources and targets and each weight is the one nonzero term
+    of s(E - E+).  A generator rotates at most 2^(n-1) of 2^n determinants,
+    each one entry of two int32 positions and an int8 weight: the cache holds
+    at most _MAP_CACHE_SIZE * 4.5 * 2^n bytes, 36 MiB at 12 qubits.
     """
-    return _read_only(*_excitation_entries(key, _register(dim)))
+    dets = _sector_dets(sector)
+    src, target, sign = _excitation_entries(gen.excitation, dets)
+    src, target = (np.searchsorted(dets, d.astype(np.uint64)).astype(np.int32)
+                   for d in (src, target))
+    return _read_only(np.concatenate((target, src)), np.concatenate((src, target)),
+                      gen.sign * np.concatenate((sign, -sign)))
 
 
 def _pauli_parity(z, dets: np.ndarray) -> np.ndarray:
@@ -142,14 +170,6 @@ def _pauli_map(key, dim: int):
 def _pauli_phase(key) -> complex:
     x, z = key
     return (1j) ** ((x & z).bit_count() & 3)
-
-
-def apply_excitation(state: np.ndarray, key: Key) -> np.ndarray:
-    """E . state for one canonical term: one gather/scatter over its map."""
-    src, target, sign = _excitation_map(key, state.shape[0])
-    out = np.zeros_like(state)
-    out[target] = sign * state[src]
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,28 +254,54 @@ def apply_pauli_rotation(state: np.ndarray, gen: PauliGenerator, theta: float) -
     return _check_norm(out)
 
 
-def apply_fermionic_rotation(state: np.ndarray, gen: FermionGenerator, theta: float) -> np.ndarray:
-    """e^{theta A} state through the closed form, exact for A^3 = -A."""
+def apply_fermionic_rotation(state: np.ndarray, gen: FermionGenerator, theta: float,
+                             sector: Sector | None = None) -> np.ndarray:
+    """e^{theta A} state through the closed form, exact for A^3 = -A.
+
+    ``state`` lists the amplitudes of ``sector``, or of the full register when
+    that is None.  A and then A^2 act as one gather/scatter each over the
+    generator's signed map.  The norm check sums over these amplitudes only,
+    so on a sector its value can differ from the full register's in the last
+    bits.
+    """
     if theta == 0.0:
         return state.copy()
-    s = float(gen.sign)
-    a1 = s * (apply_excitation(state, gen.excitation)
-              - apply_excitation(state, conjugate_key(gen.excitation)))
-    a2 = s * (apply_excitation(a1, gen.excitation)
-              - apply_excitation(a1, conjugate_key(gen.excitation)))
-    out = state + math.sin(theta) * a1 + (1.0 - math.cos(theta)) * a2
-    return _check_norm(out)
+    out, src, weight = _rotation_map(gen, sector or Sector(state.shape[0].bit_length() - 1))
+    a1 = np.zeros(state.shape, dtype=complex)
+    a1.put(out, weight * state.take(src))
+    a2 = np.zeros(state.shape, dtype=complex)
+    a2.put(out, weight * a1.take(src))
+    # state + sin(theta) a1 + (1 - cos(theta)) a2, summed left to right in place
+    a1 *= math.sin(theta)
+    a1 += state
+    a2 *= 1.0 - math.cos(theta)
+    a1 += a2
+    return _check_norm(a1)
 
 
-def apply_step(state: np.ndarray, step: GivensStep) -> np.ndarray:
-    if isinstance(step.generator, FermionGenerator):
-        return apply_fermionic_rotation(state, step.generator, step.angle)
-    return apply_pauli_rotation(state, step.generator, step.angle)
+@singledispatch
+def _rotation(state: np.ndarray, gen, theta: float) -> np.ndarray:
+    """The rotation for a generator's type.  The generator is not the first
+    argument, so steps look it up as ``_rotation.dispatch(type(gen))``."""
+    raise TypeError(f"cannot apply a {type(gen).__name__}")
 
 
-def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
+_rotation.register(FermionGenerator, apply_fermionic_rotation)
+_rotation.register(PauliGenerator, apply_pauli_rotation)
+
+
+def apply_step(state: np.ndarray, step: GivensStep, sector: Sector | None = None) -> np.ndarray:
+    """One step on the full register, or on ``sector`` for fermionic steps."""
+    gen = step.generator
+    if sector is None:
+        return _rotation.dispatch(type(gen))(state, gen, step.angle)
+    return apply_fermionic_rotation(state, gen, step.angle, sector)
+
+
+def apply_circuit(state: np.ndarray, circuit: Circuit,
+                  sector: Sector | None = None) -> np.ndarray:
     for step in reversed(circuit.steps):
-        state = apply_step(state, step)
+        state = apply_step(state, step, sector)
     return state
 
 
@@ -358,14 +404,15 @@ class StatevectorBackend:
     drawing from the backend's explicit RNG stream.  Counters keep the
     expectation-value and shot tallies for the run trace.
 
-    The Hamiltonian is compiled on first use: for exact values over the
-    reference's particle-number sector, which fermionic circuits never leave,
-    and once over the full register when a state to measure does leave it;
-    for sampling into its strings in draw order.
+    A ``fermionic`` backend takes circuits of fermionic steps only.  It
+    replays them on the reference's particle-number sector and scatters each
+    state back to the full register to measure it; its exact Hamiltonian is
+    compiled over the sector's columns, whose entries are all that reach the
+    full-register value.  Other backends work on the full register.
     """
 
     def __init__(self, n_qubits: int, reference: int, hamiltonian,
-                 shots_per_term: int | None = None, rng=None):
+                 shots_per_term: int | None = None, rng=None, fermionic: bool = False):
         if n_qubits >= _MAX_QUBITS:
             raise ValueError(f"a register of {n_qubits} qubits exceeds the "
                              f"simulator's limit of {_MAX_QUBITS - 1}")
@@ -378,10 +425,8 @@ class StatevectorBackend:
         self.shots_used = 0
         self._pauli_h: PauliOperator | None = None
         self._strings: SampledOperator | None = None
-        register = _register(1 << n_qubits)
-        in_sector = np.bitwise_count(register) == reference.bit_count()
-        self._columns = register[in_sector]
-        self._outside = np.flatnonzero(~in_sector)
+        self._sector = Sector(n_qubits, reference.bit_count()) if fermionic else None
+        self._dets = _sector_dets(self._sector or Sector(n_qubits))
         self._exact_h: SparseOperator | None = None
 
     def pauli_hamiltonian(self) -> PauliOperator:
@@ -389,27 +434,29 @@ class StatevectorBackend:
             self._pauli_h = jordan_wigner(self.hamiltonian)
         return self._pauli_h
 
-    def exact_hamiltonian(self, state: np.ndarray) -> SparseOperator:
-        """The compiled Hamiltonian, valid for measuring ``state``."""
-        if self._outside.size and np.any(state[self._outside]):
-            self._columns, self._outside = _register(state.shape[0]), self._outside[:0]
-            self._exact_h = None
+    def exact_hamiltonian(self) -> SparseOperator:
         if self._exact_h is None:
-            self._exact_h = compile_operator(self.hamiltonian, self._columns)
+            self._exact_h = compile_operator(self.hamiltonian, self._dets)
         return self._exact_h
 
     def state(self, circuit: Circuit, extra_step: GivensStep | None = None) -> np.ndarray:
-        """U(k) [extra] |Phi0>, the extra candidate rotation acting first."""
-        state = prepare_determinant(self.n_qubits, self.reference)
+        """U(k) [extra] |Phi0> on the full register, the extra candidate
+        rotation acting first."""
+        state = prepare_determinant(self.n_qubits, self.reference)[self._dets]
         if extra_step is not None:
-            state = apply_step(state, extra_step)
-        return apply_circuit(state, circuit)
+            state = apply_step(state, extra_step, self._sector)
+        state = apply_circuit(state, circuit, self._sector)
+        if self._sector is None:
+            return state
+        full = np.zeros(1 << self.n_qubits, dtype=complex)
+        full[self._dets] = state
+        return full
 
     def expectation(self, circuit: Circuit, extra_step: GivensStep | None = None) -> float:
         state = self.state(circuit, extra_step)
         self.expectation_count += 1
         if self.shots_per_term is None:
-            return expectation_exact(self.exact_hamiltonian(state), state)
+            return expectation_exact(self.exact_hamiltonian(), state)
         if self._strings is None:
             self._strings = compile_sampled(self.pauli_hamiltonian(), 1 << self.n_qubits)
         self.shots_used += self.shots_per_term * self.pauli_hamiltonian().term_count()

@@ -4,15 +4,21 @@ The algebra helpers (products, commutators, sums) build operators through
 their ``.terms`` views.  The oracles are the term-by-term dict loops that the
 array passes of ``qjacobi.fermion``, ``qjacobi.cumulant`` and
 ``qjacobi.jacobi.truncate`` replaced; each returns ``(terms, constant)`` with
-the loop's insertion order, for ``==`` comparisons.
+the loop's insertion order, for ``==`` comparisons.  ``apply_key_to_det``
+acts one operator at a time on a determinant, ``hf_energy`` sums the
+integrals of the occupied orbitals, and the device oracles apply one
+excitation at a time over the full register.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from qjacobi.fermion import (IDENTITY_KEY, ZERO_FLOOR, FermionOperator, apply_key_to_det,
-                             conjugate_key, key_support, normal_order, term_product)
+from qjacobi.fcidump import FCIDumpData
+from qjacobi.fermion import (IDENTITY_KEY, ZERO_FLOOR, FermionOperator, conjugate_key,
+                             key_support, normal_order, term_product)
+from qjacobi.statevector import _excitation_entries, _read_only, _register
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +92,31 @@ def embed_in_full_space(vector, basis, n_qubits):
     for amp, det in zip(vector, basis.determinants):
         full[det] = amp
     return full
+
+
+def hf_energy(data: FCIDumpData) -> float:
+    """Independent closed-shell style HF energy over occupied spin orbitals,
+    the oracle for the assembled Hamiltonian's reference energy.
+
+    E = sum_i h_ii + 1/2 sum_ij [(ii|jj) - (ij|ji)] + core, with i, j running
+    over occupied spin orbitals and spin deltas applied to the exchange term.
+    """
+    occ = []
+    n_alpha = (data.n_electrons + data.ms2) // 2
+    n_beta = data.n_electrons - n_alpha
+    for i in range(n_alpha):
+        occ.append((i + 1, 0))
+    for i in range(n_beta):
+        occ.append((i + 1, 1))
+    e = data.core_energy
+    for p, _ in occ:
+        e += data.one(p, p)
+    for p, sp in occ:
+        for q, sq in occ:
+            e += 0.5 * data.two(p, p, q, q)
+            if sp == sq:
+                e -= 0.5 * data.two(p, q, q, p)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +233,31 @@ def truncate_loop(op, epsilon, n_electrons):
     return kept, op.constant
 
 
+def apply_key_to_det(key, det):
+    """Apply a canonical term to a determinant bitstring, one operator at a
+    time: ``(sign, new_det)``, or None when the term annihilates the state.
+    Each operator's sign counts the occupied modes below its index, the
+    Jordan-Wigner convention."""
+    cre, ann = key
+    d = det
+    sign = 1
+    for q in ann:  # a_{q1} acts first (ascending)
+        b = 1 << q
+        if not d & b:
+            return None
+        if (d & (b - 1)).bit_count() & 1:
+            sign = -sign
+        d ^= b
+    for p in reversed(cre):  # a+_{pn} acts first (descending)
+        b = 1 << p
+        if d & b:
+            return None
+        if (d & (b - 1)).bit_count() & 1:
+            sign = -sign
+        d |= b
+    return sign, d
+
+
 def act_loop(op, det):
     """``FermionOperator.act`` as a dict loop over ``apply_key_to_det``."""
     out = {det: op.constant}
@@ -211,3 +267,35 @@ def act_loop(op, det):
             sign, d2 = res
             out[d2] = out.get(d2, 0.0) + coeff * sign
     return out
+
+
+# ---------------------------------------------------------------------------
+# Device oracles
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=2048)
+def excitation_map(key, dim):
+    """Read-only ``(src, target, sign)``: E|src> = sign |target> on a register
+    of ``dim`` amplitudes."""
+    return _read_only(*_excitation_entries(key, _register(dim)))
+
+
+def apply_excitation(state, key):
+    """E . state for one canonical term: one gather/scatter over its map."""
+    src, target, sign = excitation_map(key, state.shape[0])
+    out = np.zeros_like(state)
+    out[target] = sign * state[src]
+    return out
+
+
+def fermionic_rotation_loop(state, gen, theta):
+    """e^{theta A} state over the full register with A and A^2 each formed as
+    s(E psi - E+ psi): the four-gather step the signed map replaced."""
+    if theta == 0.0:
+        return state.copy()
+    s = float(gen.sign)
+    a1 = s * (apply_excitation(state, gen.excitation)
+              - apply_excitation(state, conjugate_key(gen.excitation)))
+    a2 = s * (apply_excitation(a1, gen.excitation)
+              - apply_excitation(a1, conjugate_key(gen.excitation)))
+    return state + math.sin(theta) * a1 + (1.0 - math.cos(theta)) * a2

@@ -3,8 +3,7 @@ import pytest
 
 from qjacobi.fci import DeterminantBasis, dense_matrix, enumerate_determinants, ground_state
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
-from qjacobi.hamiltonian import hf_energy
-from support import embed_in_full_space
+from support import embed_in_full_space, hf_energy
 
 
 def test_enumeration_counts():

@@ -12,13 +12,13 @@ from qjacobi import fermion
 from qjacobi.cumulant import cumulant_decompose
 from qjacobi.fci import dense_matrix
 from qjacobi.fermion import (FermionGenerator, FermionOperator, _pattern_table, _reorder,
-                             _shape, _shape_table, apply_key_to_det, bch_transform, conjugate_key,
-                             key_events, key_support, term_product)
+                             _shape, _shape_table, bch_transform, conjugate_key, key_events,
+                             key_support, term_product)
 from qjacobi.jacobi import (RunConfig, classical_residual, generator_from_determinant,
                             run_quantum_jacobi, select_deterministic, truncate)
-from support import (act_loop, bch_loop, classify_indices, commutator, cumulant_loop,
-                     excitation_rank, generator_operator, max_rank, multiply, normal_op, plus,
-                     scaled, truncate_loop, wick_structure)
+from support import (act_loop, apply_key_to_det, bch_loop, classify_indices, commutator,
+                     cumulant_loop, excitation_rank, generator_operator, max_rank, multiply,
+                     normal_op, plus, scaled, truncate_loop, wick_structure)
 
 
 def op_from_terms(*pairs, constant=0.0):
@@ -225,6 +225,14 @@ class TestGenerator:
         res = apply_key_to_det(gen.excitation, 0b0011)
         assert res is not None
         assert gen.sign * res[0] == 1 and res[1] == 0b0101
+        # every pair of determinants of one particle number on six modes
+        for n in range(1, 6):
+            dets = [sum(1 << q for q in c) for c in combinations(range(6), n)]
+            for ref in dets:
+                for target in dets:
+                    if target != ref:
+                        gen = FermionGenerator.from_determinants(ref, target)
+                        assert apply_key_to_det(gen.excitation, ref) == (gen.sign, target)
 
     def test_particle_violation_rejected(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,10 @@ import numpy as np
 from qjacobi.fcidump import FCIDumpData
 from qjacobi.fci import dense_matrix
 from qjacobi.fermion import FermionOperator
-from qjacobi.hamiltonian import build_hamiltonian, hf_energy
+from qjacobi.hamiltonian import build_hamiltonian
 from qjacobi.jacobi import diagonal_element
 from qjacobi.statevector import expectation_exact, prepare_determinant
-from support import commutator
+from support import commutator, hf_energy
 
 
 def test_single_orbital_single_electron():

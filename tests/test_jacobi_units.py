@@ -17,7 +17,7 @@ from qjacobi.jordan_wigner import jordan_wigner
 from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, StatevectorBackend,
                                  apply_circuit, apply_step, prepare_determinant)
-from support import fidelity
+from support import apply_excitation, fidelity, hf_energy
 
 
 class TestClassicalResidual:
@@ -111,7 +111,6 @@ class TestGeneratorFromDeterminant:
     def test_fermionic_amplitude_plus_one(self):
         gen = generator_from_determinant(0b0011, 0b0101, "fermionic")
         s = prepare_determinant(4, 0b0011)
-        from qjacobi.statevector import apply_excitation
         amp = (gen.sign * apply_excitation(s, gen.excitation))[0b0101]
         assert amp == 1.0
 
@@ -130,7 +129,6 @@ class TestGeneratorFromDeterminant:
 
 class TestMeasureBlock:
     def test_initial_e0_is_hf(self, h2, h2_data):
-        from qjacobi.hamiltonian import hf_energy
         backend = StatevectorBackend(h2.n_qubits, h2.hf_determinant, h2.hamiltonian)
         r = classical_residual(h2.hamiltonian, h2.hf_determinant)
         pick = select_deterministic(r)

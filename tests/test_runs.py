@@ -3,12 +3,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from qjacobi import jacobi
+from qjacobi import jacobi, statevector
 from qjacobi.cli import main
 from qjacobi.jacobi import QJRunError, RunConfig, run_quantum_jacobi
-from qjacobi.statevector import (StatevectorBackend, apply_circuit, expectation_exact,
+from qjacobi.statevector import (Sector, StatevectorBackend, apply_circuit, expectation_exact,
                                  prepare_determinant)
-from support import embed_in_full_space, fidelity
+from support import embed_in_full_space, fidelity, hf_energy
 
 
 def energies(trace):
@@ -43,7 +43,6 @@ class TestInvariants:
             assert all(es[i + 1] <= es[i] + 1e-12 for i in range(len(es) - 1))
 
     def test_first_record_is_hf(self, h2_data, h2_exact_trace):
-        from qjacobi.hamiltonian import hf_energy
         assert abs(h2_exact_trace.hf_energy - hf_energy(h2_data)) < 1e-12
 
     def test_expectation_accounting_two_per_cycle(self, h4_exact_trace):
@@ -289,6 +288,27 @@ class TestStageFailures:
         trace = info.value.trace
         assert len(trace.records) == 3
         assert trace.termination.startswith("backend_error: non-finite expectation value")
+        assert len(trace.final_circuit) == 2
+
+    def test_norm_drift_on_the_sector_is_a_backend_error(self, h4, monkeypatch):
+        # from the seventh step on (cycle 3's first state) the sector map's
+        # weights are 1% too large, so the per-step norm check trips
+        real = statevector._rotation_map
+        sectors = []
+
+        def drifting(gen, sector):
+            sectors.append(sector)
+            out, src, weight = real(gen, sector)
+            return out, src, weight * 1.01 if len(sectors) > 6 else weight
+
+        monkeypatch.setattr(statevector, "_rotation_map", drifting)
+        with pytest.raises(QJRunError) as info:
+            run_quantum_jacobi(h4, RunConfig(method="cfqj", epsilon=1e-4, kappa=1e-3,
+                                             max_cycles=10))
+        assert set(sectors) == {Sector(h4.n_qubits, h4.n_electrons)}
+        trace = info.value.trace
+        assert len(trace.records) == 3
+        assert trace.termination.startswith("backend_error: statevector norm drifted")
         assert len(trace.final_circuit) == 2
 
     def test_non_finite_expectation_aborts_cli_run(self, monkeypatch, capsys):

@@ -12,16 +12,16 @@ from qjacobi import statevector
 from qjacobi.fcidump import parse_fcidump
 from qjacobi.fci import dense_matrix
 from qjacobi.fermion import FermionGenerator, FermionOperator, conjugate_key
-from qjacobi.hamiltonian import build_hamiltonian, hf_energy
+from qjacobi.hamiltonian import build_hamiltonian
 from qjacobi.jacobi import RunConfig, run_quantum_jacobi
 from qjacobi.jordan_wigner import jordan_wigner
 from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
-from qjacobi.statevector import (Circuit, GivensStep, StatevectorBackend,
-                                 apply_circuit, apply_excitation,
-                                 apply_fermionic_rotation, apply_pauli_rotation,
+from qjacobi.statevector import (Circuit, GivensStep, Sector, StatevectorBackend,
+                                 apply_circuit, apply_fermionic_rotation, apply_pauli_rotation,
                                  compile_operator, compile_sampled, expectation_exact,
                                  expectation_sampled, prepare_determinant)
-from support import embed_in_full_space, fidelity, generator_operator
+from support import (apply_excitation, embed_in_full_space, fermionic_rotation_loop, fidelity,
+                     generator_operator, hf_energy)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -383,26 +383,25 @@ class TestCompiledKernel:
         problem = _problem(name)
         h = problem.hamiltonian
         sector, full = self.SIZES[name]
-        inside = StatevectorBackend(problem.n_qubits, problem.hf_determinant, h)
+        inside = StatevectorBackend(problem.n_qubits, problem.hf_determinant, h, fermionic=True)
         circuit = _circuit(problem, "fermionic")
         state = inside.state(circuit)
         assert inside.expectation(circuit) == oracle_expectation(h, state)
         assert expectation_exact(h, state) == oracle_expectation(h, state)
-        assert inside.exact_hamiltonian(state).rows.size == sector
+        assert inside.exact_hamiltonian().rows.size == sector
 
-        # Pauli rotations leave the particle-number sector: the backend
-        # recompiles over the full register once and stays there
+        # Pauli rotations leave the particle-number sector: a backend that
+        # is not fermionic compiles over the full register
         outside = StatevectorBackend(problem.n_qubits, problem.hf_determinant, h)
         hf_state = outside.state(Circuit())
         assert outside.expectation(Circuit()) == oracle_expectation(h, hf_state)
-        assert outside.exact_hamiltonian(hf_state).rows.size == sector
         circuit = _circuit(problem, "pauli")
         state = outside.state(circuit)
         counts = np.bitwise_count(np.arange(state.size))
         assert np.any(state[counts != problem.n_electrons])
         assert outside.expectation(circuit) == oracle_expectation(h, state)
         assert expectation_exact(h, state) == oracle_expectation(h, state)
-        assert outside.exact_hamiltonian(hf_state).rows.size == full
+        assert outside.exact_hamiltonian().rows.size == full
 
     def test_pauli_operator_matches_term_loop(self, h2):
         hp = jordan_wigner(h2.hamiltonian)
@@ -412,22 +411,36 @@ class TestCompiledKernel:
         assert expectation_exact(hp, v) == pytest.approx(oracle_expectation(hp, v), abs=1e-14)
 
     def test_cached_maps_read_only(self):
-        maps = (statevector._excitation_map(((2, 3), (0, 1)), 16)
+        gen = FermionGenerator(((2, 3), (0, 1)), -1)
+        maps = (statevector._rotation_map(gen, Sector(4, 2))
+                + statevector._rotation_map(gen, Sector(4))
                 + statevector._pauli_map((0b0110, 0b0011), 16))
         for arr in maps:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
+        for cache in (statevector._rotation_map, statevector._pauli_map):
+            assert cache.cache_info().maxsize == statevector._MAP_CACHE_SIZE
 
     def test_trace_independent_of_cache_state(self, h4):
         cfg = dict(method="cfqj", epsilon=1e-4, kappa=1e-3, max_cycles=60, rng_seed=5)
-        statevector._excitation_map.cache_clear()
+        statevector._rotation_map.cache_clear()
         statevector._pauli_map.cache_clear()
         cold = run_quantum_jacobi(h4, RunConfig(**cfg)).to_jsonl()
-        misses = statevector._excitation_map.cache_info().misses
+        misses = statevector._rotation_map.cache_info().misses
         warm = run_quantum_jacobi(h4, RunConfig(**cfg)).to_jsonl()
-        assert statevector._excitation_map.cache_info().misses == misses
+        assert statevector._rotation_map.cache_info().misses == misses
         assert warm == cold
+
+    @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
+    def test_sector_replay_equals_full_register(self, name):
+        problem = _problem(name)
+        args = (problem.n_qubits, problem.hf_determinant, problem.hamiltonian)
+        full, sector = StatevectorBackend(*args), StatevectorBackend(*args, fermionic=True)
+        circuit = _circuit(problem, "fermionic")
+        extra = circuit.steps[0]
+        assert np.array_equal(sector.state(circuit, extra), full.state(circuit, extra))
+        assert sector.expectation(circuit, extra) == full.expectation(circuit, extra)
 
 
 def _keys(n_modes):
@@ -485,3 +498,42 @@ class TestKernelProperties:
         columns = np.column_stack([apply_excitation(prepare_determinant(n, d), key)
                                    for d in range(1 << n)])
         assert np.array_equal(columns, dense)
+
+
+@st.composite
+def sector_steps(draw):
+    """A normalised state on a random sector of <= 8 modes, a particle-
+    conserving generator of either sign and an angle."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    r = draw(st.integers(1, min(k, n - k, 3)))
+    modes = draw(st.permutations(range(n)))
+    gen = FermionGenerator((tuple(sorted(modes[:r])), tuple(sorted(modes[r:2 * r]))),
+                           draw(st.sampled_from((1, -1))))
+    theta = draw(st.sampled_from((0.0, math.pi / 4, -math.pi / 4, math.pi / 2))
+                 | st.floats(-math.pi, math.pi))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return Sector(n, k), gen, theta, seed
+
+
+class TestSectorStep:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(sector_steps())
+    def test_signed_map_equals_four_gather_oracle(self, case):
+        sector, gen, theta, seed = case
+        n = sector.n_qubits
+        dets = np.flatnonzero(np.bitwise_count(np.arange(1 << n)) == sector.n_particles)
+        outside = np.ones(1 << n, dtype=bool)
+        outside[dets] = False
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=dets.size) + 1j * rng.normal(size=dets.size)
+        v /= np.linalg.norm(v)
+        full = np.zeros(1 << n, dtype=complex)
+        full[dets] = v
+        oracle = fermionic_rotation_loop(full, gen, theta)
+        assert apply_fermionic_rotation(v, gen, theta, sector).tolist() == oracle[dets].tolist()
+        assert not np.any(oracle[outside])
+        # the full-register map on a state spread over every sector
+        w = _random_state(n, seed)
+        assert (apply_fermionic_rotation(w, gen, theta).tolist()
+                == fermionic_rotation_loop(w, gen, theta).tolist())
