@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fermion import ZERO_FLOOR, FermionOperator
+from .fermion import FermionOperator
 from .pauli import _merge_first_seen
 
 
@@ -37,8 +37,7 @@ def _leaf_template(spectators: int, leaf_size: int) -> np.ndarray:
     return template
 
 
-def cumulant_decompose(op: FermionOperator, kappa: float, reference: int,
-                       floor: float = ZERO_FLOOR) -> FermionOperator:
+def cumulant_decompose(op: FermionOperator, kappa: float, reference: int) -> FermionOperator:
     """Decompose rank > 2 terms with |h| < kappa; keep everything else.
 
     Terms whose spectator block touches an orbital unoccupied in the
@@ -91,4 +90,4 @@ def cumulant_decompose(op: FermionOperator, kappa: float, reference: int,
         seq[2][pos] = np.where(leaf_odd, -value[:, None], value[:, None])
 
     (cre, ann), coeffs = _merge_first_seen((seq[0], seq[1]), seq[2])
-    return FermionOperator.from_arrays(cre, ann, coeffs, op.constant).pruned(floor)
+    return FermionOperator.from_arrays(cre, ann, coeffs, op.constant).pruned()

@@ -17,6 +17,10 @@ passes over them.  Every output value is formed with the roundings of a
 term-by-term dict loop, and outputs sum their contributions in that loop's
 order and keep its insertion order (``pauli._merge_first_seen``), so results
 are bit-identical to it.
+
+``term_action`` is the one Jordan-Wigner sign of a canonical term on a
+determinant: the residual, the diagonal, the FCI matrix, the generators and
+the device's signed maps and compiled Hamiltonian all use it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import TermsView, _merge_first_seen
+from .pauli import ZERO_FLOOR, TermsView, _merge_first_seen
 
-ZERO_FLOOR = 1e-14
 MAX_MODES = 64  # masks are uint64
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -51,6 +54,13 @@ def _mask(indices: Iterable[int]) -> int:
     return mask
 
 
+def _uint64(masks: list[int]) -> np.ndarray:
+    """``masks`` as a uint64 array; ValueError for a mode beyond MAX_MODES."""
+    if max(masks, default=0) >> MAX_MODES:
+        raise ValueError(f"fermionic operators support at most {MAX_MODES} modes")
+    return np.array(masks, dtype=np.uint64)
+
+
 def _indices(mask: int) -> tuple[int, ...]:
     """Ascending indices of the set bits of ``mask``."""
     return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
@@ -62,6 +72,22 @@ def _below_parity(masks: np.ndarray) -> np.ndarray:
     for shift in (1, 2, 4, 8, 16, 32):
         x ^= x << np.uint64(shift)
     return x
+
+
+def term_action(cre, ann, dets):
+    """Canonical terms E (creation masks ``cre``, annihilation masks ``ann``)
+    on determinants ``dets``, all uint64 and broadcasting: ``(hit, target,
+    odd)`` with E|d> = (-1)^odd |target> where ``hit`` holds, else E|d> = 0.
+
+    The operators act one by one, a_{q1} first, each signed by the occupied
+    modes below its index (Jordan-Wigner).  The parity is the number of
+    (creation, annihilation) pairs with the annihilation below, plus k(k-1)/2
+    for k annihilations, plus the occupied modes of d below each index E flips.
+    """
+    hit = ((ann & ~dets) == 0) & ((cre & dets & ~ann) == 0)
+    odd = (np.bitwise_count(cre & _below_parity(ann)) + (np.bitwise_count(ann) >> 1)
+           + np.bitwise_count((cre ^ ann) & _below_parity(dets))) & 1
+    return hit, (dets & ~ann) | cre, odd
 
 
 def key_support(key: Key) -> int:
@@ -160,9 +186,7 @@ class FermionOperator:
     def __init__(self, terms: Mapping[Key, float] | None = None, constant: float = 0.0):
         terms = terms or {}
         masks = [_mask(k[0]) for k in terms] + [_mask(k[1]) for k in terms]
-        if masks and max(masks) >> MAX_MODES:
-            raise ValueError(f"fermionic operators support at most {MAX_MODES} modes")
-        cre, ann = np.array(masks, dtype=np.uint64).reshape(2, len(terms))
+        cre, ann = _uint64(masks).reshape(2, len(terms))
         self._set(cre, ann, np.fromiter(terms.values(), float, len(terms)), constant)
 
     @classmethod
@@ -195,10 +219,10 @@ class FermionOperator:
         return FermionOperator.from_arrays(self.cre[keep], self.ann[keep], self.coeffs[keep],
                                            self.constant)
 
-    def pruned(self, floor: float = ZERO_FLOOR) -> "FermionOperator":
-        """Drop exact-arithmetic dust at or below ``floor``, the constant too."""
-        out = self.subset(np.abs(self.coeffs) > floor)
-        if abs(out.constant) <= floor:
+    def pruned(self) -> "FermionOperator":
+        """Drop exact-arithmetic dust at or below ZERO_FLOOR, the constant too."""
+        out = self.subset(np.abs(self.coeffs) > ZERO_FLOOR)
+        if abs(out.constant) <= ZERO_FLOOR:
             out.constant = 0.0
         return out
 
@@ -209,22 +233,16 @@ class FermionOperator:
     def act(self, det: int) -> dict[int, float]:
         """Sparse action on one determinant: {det': <det'|op|det>}.
 
-        The constant is entered at ``det`` first, then every term adds its
-        coefficient in term order, signed as its operators act one by one, each
-        counting the occupied modes below it.  That sign's parity is the number
-        of (creation, annihilation) pairs with the annihilation below, plus
-        k(k-1)/2 for k annihilations, plus the occupied modes of ``det`` below
-        each acted index.
+        The constant is entered at ``det`` first, then every term that does
+        not kill ``det`` adds its coefficient in term order, signed by
+        ``term_action``.
         """
         d = np.uint64(det)
-        cre, ann = self.cre, self.ann
-        hit = np.flatnonzero(((ann & ~d) == 0) & ((cre & d & ~ann) == 0))
-        cre, ann, coeffs = cre[hit], ann[hit], self.coeffs[hit]
-        parity = (np.bitwise_count(cre & _below_parity(ann)) + (np.bitwise_count(ann) >> 1)
-                  + np.bitwise_count((cre ^ ann) & _below_parity(d)))
+        hit, targets, odd = term_action(self.cre, self.ann, d)
+        coeffs = self.coeffs[hit]
         (targets,), sums = _merge_first_seen(
-            (np.concatenate(([d], (d & ~ann) | cre)),),
-            np.concatenate(([self.constant], np.where(parity & 1, -coeffs, coeffs))))
+            (np.concatenate(([d], targets[hit])),),
+            np.concatenate(([self.constant], np.where(odd[hit], -coeffs, coeffs))))
         return dict(zip(targets.tolist(), sums.tolist()))
 
     def __repr__(self) -> str:
@@ -285,13 +303,9 @@ class FermionGenerator:
         if reference.bit_count() != target.bit_count():
             raise ValueError("determinants differ in particle number")
         diff = reference ^ target
-        cre, ann = _indices(diff & target), _indices(diff & reference)
-        # a_{q1} acts first, then a+_{pn}: each sign counts the occupied modes
-        # below its index, and the earlier annihilations all sit below q
-        mid = reference & ~diff
-        parity = (sum((reference & ((1 << q) - 1)).bit_count() - j for j, q in enumerate(ann))
-                  + sum((mid & ((1 << p) - 1)).bit_count() for p in cre))
-        return cls((cre, ann), -1 if parity & 1 else 1)
+        cre, ann = diff & target, diff & reference
+        _, _, odd = term_action(*_uint64([cre, ann, reference]))
+        return cls((_indices(cre), _indices(ann)), -1 if odd else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +410,7 @@ def _pattern_table(patterns: list[tuple[int, int]], cache: dict):
     return np.array([ids[p] for p in patterns], dtype=np.int64), cache["arrays"]
 
 
-def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
-                  floor: float = ZERO_FLOOR) -> FermionOperator:
+def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float) -> FermionOperator:
     """Exact e^{-theta A} H e^{theta A}, term by term.
 
     A is even and acts only on its support R = P u Q (P its creation, Q its
@@ -483,4 +496,4 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float,
         arr[slot] = mine
         arr[pos] = theirs
     (cre, ann), coeffs = _merge_first_seen((seq[0], seq[1]), seq[2])
-    return FermionOperator.from_arrays(cre, ann, coeffs, op.constant).pruned(floor)
+    return FermionOperator.from_arrays(cre, ann, coeffs, op.constant).pruned()

@@ -24,20 +24,20 @@ from .cumulant import cumulant_decompose
 from .fermion import FermionGenerator, FermionOperator, bch_transform
 from .hamiltonian import MolecularProblem
 from .jordan_wigner import jordan_wigner, jw_generator
-from .pauli import (PauliGenerator, PauliOperator, bch_transform_pauli, pauli_label,
-                    pauli_weight)
+from .pauli import (ZERO_FLOOR, PauliGenerator, PauliOperator, bch_transform_pauli,
+                    pauli_label, pauli_weight)
 from .statevector import Circuit, GivensStep, StatevectorBackend
 from .trace import CycleRecord, RunTrace
 
 RESIDUAL_FLOOR_DEFAULT = 1e-7
 ENERGY_FLOOR_DEFAULT = 1e-9
 ENERGY_WINDOW_DEFAULT = 5
-_ZERO = 1e-14
 _IMAG_TOL = 1e-9
 
 METHODS = ("pqj", "fqj", "cfqj", "exact-bch-fermionic", "exact-bch-pauli")
-_FLAVOR = {"pqj": "pauli", "exact-bch-pauli": "pauli",
-           "fqj": "fermionic", "cfqj": "fermionic", "exact-bch-fermionic": "fermionic"}
+# the generator class of each method; it fixes the operator flavour of a run
+_FLAVOR = {"pqj": PauliGenerator, "exact-bch-pauli": PauliGenerator, "fqj": FermionGenerator,
+           "cfqj": FermionGenerator, "exact-bch-fermionic": FermionGenerator}
 _TRUNCATED = {"pqj", "fqj", "cfqj"}
 
 
@@ -142,7 +142,7 @@ def classical_residual(h_approx, phi0: int) -> ResidualVector:
     """
     acc = h_approx.act(phi0)
     e_ref = _real(acc.pop(phi0, 0.0), "reference energy")
-    entries = {d: _real(c, "residual amplitude") for d, c in acc.items() if abs(c) > _ZERO}
+    entries = {d: _real(c, "residual amplitude") for d, c in acc.items() if abs(c) > ZERO_FLOOR}
     return ResidualVector(entries, e_ref)
 
 
@@ -164,17 +164,14 @@ def select_stochastic(residual: ResidualVector, exclude: int | None, rng) -> int
     return int(pool[int(rng.choice(len(pool), p=w))][0])
 
 
-def generator_from_determinant(phi0: int, phi_mu: int, flavor: str):
-    """Build the Givens generator connecting |Phi0> and |Phi_mu>.
+def generator_from_determinant(phi0: int, phi_mu: int, flavor: type):
+    """Build the Givens generator of class ``flavor`` connecting |Phi0> and
+    |Phi_mu>.
 
-    Pauli flavor: X on every differing qubit, Y on the lowest one.  Fermionic
-    flavor: the pure excitation with <Phi_mu|E|Phi0> = +1.
+    PauliGenerator: X on every differing qubit, Y on the lowest one.
+    FermionGenerator: the pure excitation with <Phi_mu|E|Phi0> = +1.
     """
-    if flavor == "pauli":
-        return PauliGenerator.from_determinants(phi0, phi_mu)
-    if flavor == "fermionic":
-        return FermionGenerator.from_determinants(phi0, phi_mu)
-    raise ValueError(f"unknown generator flavor {flavor!r}")
+    return flavor.from_determinants(phi0, phi_mu)
 
 
 def measure_block(circuit: Circuit, gen, e0: float, backend: StatevectorBackend) -> EffectiveBlock:
@@ -270,14 +267,8 @@ def merge_step(circuit: Circuit, step: GivensStep,
 
 @lru_cache(maxsize=4096)
 def _generator_cnot_cost(gen) -> int:
-    if isinstance(gen, PauliGenerator):
-        w = gen.weight()
-        return 2 * (w - 1) if w > 1 else 0
-    cost = 0
-    for key in jw_generator(gen).terms:
-        w = pauli_weight(key)
-        cost += 2 * (w - 1) if w > 1 else 0
-    return cost
+    keys = (gen.key,) if isinstance(gen, PauliGenerator) else jw_generator(gen).terms
+    return sum(2 * max(pauli_weight(key) - 1, 0) for key in keys)
 
 
 def estimate_cnot_count(circuit: Circuit) -> int:
@@ -307,11 +298,9 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
     """
     config.validate()
     flavor = _FLAVOR[config.method]
+    fermionic = flavor is FermionGenerator
     phi0 = problem.hf_determinant
-    if flavor == "pauli":
-        h_approx = jordan_wigner(problem.hamiltonian)
-    else:
-        h_approx = problem.hamiltonian
+    h_approx = problem.hamiltonian if fermionic else jordan_wigner(problem.hamiltonian)
 
     seed_seq = SeedSequence(config.rng_seed)
     sel_seed, meas_seed = seed_seq.spawn(2)
@@ -320,7 +309,7 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
         backend = StatevectorBackend(problem.n_qubits, phi0, problem.hamiltonian,
                                      shots_per_term=config.shots_per_term,
                                      rng=default_rng(meas_seed),
-                                     fermionic=flavor == "fermionic")
+                                     fermionic=fermionic)
 
     residual_source = "exact" if config.method not in _TRUNCATED else "approximate"
     energy = diagonal_element(h_approx, phi0)

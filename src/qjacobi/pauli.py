@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-ZERO_FLOOR = 1e-14
+ZERO_FLOOR = 1e-14  # exact-arithmetic dust, for both operator algebras
 
 PKey = tuple[int, int]
 PAULI_IDENTITY: PKey = (0, 0)
@@ -141,8 +141,8 @@ class PauliOperator:
         """The strings where ``keep`` holds, in term order."""
         return PauliOperator.from_arrays(self.x[keep], self.z[keep], self.coeffs[keep])
 
-    def pruned(self, floor: float = ZERO_FLOOR) -> "PauliOperator":
-        return self.subset(self.magnitudes() > floor)
+    def pruned(self) -> "PauliOperator":
+        return self.subset(self.magnitudes() > ZERO_FLOOR)
 
     def act(self, det: int) -> dict[int, complex]:
         """Sparse action on one determinant: {det': <det'|op|det>}.
@@ -179,9 +179,6 @@ class PauliGenerator:
     def key(self) -> PKey:
         return (self.x_mask, self.z_mask)
 
-    def weight(self) -> int:
-        return self.x_mask.bit_count()
-
     @classmethod
     def from_determinants(cls, reference: int, target: int) -> "PauliGenerator":
         if reference == target:
@@ -192,8 +189,7 @@ class PauliGenerator:
         return cls(diff, diff & -diff)
 
 
-def bch_transform_pauli(op: PauliOperator, gen: PauliGenerator, theta: float,
-                        floor: float = ZERO_FLOOR) -> PauliOperator:
+def bch_transform_pauli(op: PauliOperator, gen: PauliGenerator, theta: float) -> PauliOperator:
     """Closed-form e^{-i theta P_g} H e^{i theta P_g}, term by term.
 
     Commuting strings pass through; anticommuting ones rotate as
@@ -222,4 +218,4 @@ def bch_transform_pauli(op: PauliOperator, gen: PauliGenerator, theta: float,
         arr[slot] = mine
         arr[slot[anti] + 1] = partner
     (x, z), coeffs = _merge_first_seen((seq[0], seq[1]), seq[2])
-    return PauliOperator.from_arrays(x, z, coeffs).pruned(floor)
+    return PauliOperator.from_arrays(x, z, coeffs).pruned()

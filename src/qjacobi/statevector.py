@@ -8,11 +8,13 @@ e^{i theta P} = cos(theta) + i sin(theta) P.
 Each fermionic generator or Pauli string acts through a determinant map
 computed once and cached.  Fermionic circuits never leave the reference's
 particle-number sector (70 of 256 amplitudes on H4, 924 of 4,096 on H6), so a
-backend for them replays states there.  A backend compiles its Hamiltonian
-once into term-ordered sparse arrays for exact values, or into per-string
-gather tables in draw order for sampled ones.  All of them keep the
-floating-point operations of the term-by-term action, so every value is
-bit-identical to it.
+backend for them replays states there.  A backend compiles its fermionic
+Hamiltonian once into term-ordered sparse arrays for exact values, or its
+Jordan-Wigner image into per-string gather tables in draw order for sampled
+ones.  Fermionic maps and the compiled Hamiltonian take their entries and
+signs from ``fermion.term_action``, the kernel behind ``FermionOperator.act``.
+All of them keep the floating-point operations of the term-by-term action, so
+every value is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fermion import FermionGenerator, FermionOperator, Key
+from .fermion import FermionGenerator, FermionOperator, _mask, term_action
 from .jordan_wigner import jordan_wigner
 from .pauli import PauliGenerator, PauliOperator
 
@@ -109,26 +111,6 @@ def _sector_dets(sector: Sector) -> np.ndarray:
     return _read_only(register[np.bitwise_count(register) == sector.n_particles])[0]
 
 
-def _excitation_entries(key: Key, dets: np.ndarray):
-    """``(src, target, sign)`` with E|src> = sign |target> for every
-    determinant in ``dets`` (uint64) that the canonical term does not kill."""
-    cre, ann = key
-    ann_mask = np.uint64(sum(1 << q for q in ann))
-    cre_mask = np.uint64(sum(1 << q for q in cre))
-    ok = (dets & ann_mask) == ann_mask
-    mid = dets & ~ann_mask
-    ok &= (mid & cre_mask) == 0
-    src = dets[ok]
-    mid = mid[ok]
-    par = np.zeros(src.shape, dtype=np.uint64)
-    for j, q in enumerate(ann):  # prior annihilations all sit below q
-        par += np.bitwise_count(src & np.uint64((1 << q) - 1)) - np.uint64(j)
-    for p in cre:  # creations applied descending never see later ones below
-        par += np.bitwise_count(mid & np.uint64((1 << p) - 1))
-    sign = 1 - 2 * (par & np.uint64(1)).astype(np.int8)
-    return src.astype(np.int32), (mid | cre_mask).astype(np.int32), sign
-
-
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _rotation_map(gen: FermionGenerator, sector: Sector):
     """Cached, read-only ``(out, src, weight)``: (A psi)[out] = weight psi[src]
@@ -141,9 +123,10 @@ def _rotation_map(gen: FermionGenerator, sector: Sector):
     at most _MAP_CACHE_SIZE * 4.5 * 2^n bytes, 36 MiB at 12 qubits.
     """
     dets = _sector_dets(sector)
-    src, target, sign = _excitation_entries(gen.excitation, dets)
-    src, target = (np.searchsorted(dets, d.astype(np.uint64)).astype(np.int32)
-                   for d in (src, target))
+    hit, target, odd = term_action(*(np.uint64(_mask(k)) for k in gen.excitation), dets)
+    src = np.flatnonzero(hit).astype(np.int32)
+    target = np.searchsorted(dets, target[hit]).astype(np.int32)
+    sign = 1 - 2 * odd[hit].astype(np.int8)
     return _read_only(np.concatenate((target, src)), np.concatenate((src, target)),
                       gen.sign * np.concatenate((sign, -sign)))
 
@@ -195,39 +178,26 @@ class SparseOperator:
         return acc
 
 
-def _sparse(parts, constant) -> SparseOperator:
-    """Concatenate per-term ``(rows, cols, vals)`` in term order."""
-    empty = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
-    return SparseOperator(*(np.concatenate(arrays) for arrays in zip(empty, *parts)),
-                          constant)
+_COMPILE_BLOCK = 1 << 14  # (term, column) pairs a compile forms at once
 
 
-@singledispatch
-def compile_operator(op, dets: np.ndarray) -> SparseOperator:
+def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
     """The COO form of ``op`` restricted to the columns ``dets`` (uint64).
 
     Leaving out a column drops only entries that multiply a zero amplitude, so
     a state supported on ``dets`` gets the same value as over all columns.
+    Blocks of terms go through ``term_action``; entries keep term, then column order.
     """
-    raise TypeError(f"cannot compile {type(op).__name__}")
-
-
-@compile_operator.register(FermionOperator)
-def _compile_fermionic(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
-    parts = []
-    for key, coeff in op.terms.items():
-        src, target, sign = _excitation_entries(key, dets)
-        parts.append((target, src, coeff * sign))
-    return _sparse(parts, op.constant)
-
-
-@compile_operator.register(PauliOperator)
-def _compile_pauli(op: PauliOperator, dets: np.ndarray) -> SparseOperator:
-    # the identity is one more string, so no separate constant
-    parts = [((dets ^ np.uint64(key[0])).astype(np.int32), dets.astype(np.int32),
-              coeff * (_pauli_phase(key) * _pauli_parity(key[1], dets)))
-             for key, coeff in op.terms.items()]
-    return _sparse(parts, 0.0)
+    step = max(1, _COMPILE_BLOCK // dets.size)
+    parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
+    for lo in range(0, op.coeffs.size, step):
+        cre, ann = (a[lo:lo + step, None] for a in (op.cre, op.ann))
+        hit, target, odd = term_action(cre, ann, dets)
+        term, col = np.nonzero(hit)
+        c = op.coeffs[lo + term]
+        parts.append((target[hit].astype(np.int32), dets[col].astype(np.int32),
+                      np.where(odd[hit], -c, c)))
+    return SparseOperator(*map(np.concatenate, zip(*parts)), op.constant)
 
 
 def _check_norm(state: np.ndarray) -> np.ndarray:
@@ -308,8 +278,8 @@ def apply_circuit(state: np.ndarray, circuit: Circuit,
 def expectation_exact(op, state: np.ndarray) -> float:
     """<s|H|s>; the imaginary residue must stay below 1e-10.
 
-    ``op`` is a SparseOperator or a raw operator, compiled here over the full
-    register.
+    ``op`` is a SparseOperator or a FermionOperator, compiled here over the
+    full register.
     """
     if not isinstance(op, SparseOperator):
         op = compile_operator(op, _register(state.shape[0]))
@@ -411,7 +381,7 @@ class StatevectorBackend:
     full-register value.  Other backends work on the full register.
     """
 
-    def __init__(self, n_qubits: int, reference: int, hamiltonian,
+    def __init__(self, n_qubits: int, reference: int, hamiltonian: FermionOperator,
                  shots_per_term: int | None = None, rng=None, fermionic: bool = False):
         if n_qubits >= _MAX_QUBITS:
             raise ValueError(f"a register of {n_qubits} qubits exceeds the "

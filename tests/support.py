@@ -7,7 +7,9 @@ array passes of ``qjacobi.fermion``, ``qjacobi.cumulant`` and
 the loop's insertion order, for ``==`` comparisons.  ``apply_key_to_det``
 acts one operator at a time on a determinant, ``hf_energy`` sums the
 integrals of the occupied orbitals, and the device oracles apply one
-excitation at a time over the full register.
+excitation at a time over the full register.  The device oracles are built on
+``apply_key_to_det`` and share no code with ``fermion.term_action``, the
+kernel they check.
 """
 
 import math
@@ -18,7 +20,6 @@ import numpy as np
 from qjacobi.fcidump import FCIDumpData
 from qjacobi.fermion import (IDENTITY_KEY, ZERO_FLOOR, FermionOperator, conjugate_key,
                              key_support, normal_order, term_product)
-from qjacobi.statevector import _excitation_entries, _read_only, _register
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +277,19 @@ def act_loop(op, det):
 @lru_cache(maxsize=2048)
 def excitation_map(key, dim):
     """Read-only ``(src, target, sign)``: E|src> = sign |target> on a register
-    of ``dim`` amplitudes."""
-    return _read_only(*_excitation_entries(key, _register(dim)))
+    of ``dim`` amplitudes, one determinant after another."""
+    src, target, sign = [], [], []
+    for d in range(dim):
+        res = apply_key_to_det(key, d)
+        if res is not None:
+            src.append(d)
+            sign.append(res[0])
+            target.append(res[1])
+    arrays = (np.array(src, dtype=np.int64), np.array(target, dtype=np.int64),
+              np.array(sign, dtype=np.int8))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def apply_excitation(state, key):

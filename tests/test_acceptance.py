@@ -93,8 +93,8 @@ def _replay_consistency(problem, trace, flavor):
 
 def test_criterion_2_heisenberg_schroedinger(h2, h4, h2_exact_trace, h4_exact_trace):
     with criterion(2, "classical <Phi0|H^(k)|Phi0> equals circuit expectation (1e-9)"):
-        assert _replay_consistency(h2, h2_exact_trace, "fermionic") < 1e-9
-        assert _replay_consistency(h4, h4_exact_trace, "fermionic") < 1e-9
+        assert _replay_consistency(h2, h2_exact_trace, FermionGenerator) < 1e-9
+        assert _replay_consistency(h4, h4_exact_trace, FermionGenerator) < 1e-9
 
 
 def test_criterion_3_convergence_to_fci(h2, h4, h2_fci, h4_fci):

@@ -514,7 +514,7 @@ class TestArrayPassesMatchLoops:
         for _ in range(6):
             assert list(h.act(phi0).items()) == list(act_loop(h, phi0).items())
             pick = select_deterministic(classical_residual(h, phi0))
-            gen = generator_from_determinant(phi0, pick, "fermionic")
+            gen = generator_from_determinant(phi0, pick, FermionGenerator)
             conj = bch_transform(h, gen, 0.3)
             assert_same_terms(conj, bch_loop(h, gen, 0.3))
             comp = cumulant_decompose(conj, 1e-3, phi0)
@@ -548,3 +548,8 @@ class TestArrayPassesMatchLoops:
         FermionGenerator(((63,), (0,)))  # fine
         with pytest.raises(ValueError, match="64 modes"):
             FermionGenerator(((70,), (0,)))
+
+    def test_from_determinants_beyond_64_modes_rejected(self):
+        # a ValueError, not numpy's OverflowError, so a run ends as QJRunError
+        with pytest.raises(ValueError, match="64 modes"):
+            FermionGenerator.from_determinants((1 << 70) | 1, (1 << 71) | 1)

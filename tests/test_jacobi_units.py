@@ -105,24 +105,24 @@ class TestSelection:
 
 class TestGeneratorFromDeterminant:
     def test_pauli_masks(self):
-        gen = generator_from_determinant(0b0011, 0b0101, "pauli")
+        gen = generator_from_determinant(0b0011, 0b0101, PauliGenerator)
         assert gen.x_mask == 0b0110 and gen.z_mask == 0b0010
 
     def test_fermionic_amplitude_plus_one(self):
-        gen = generator_from_determinant(0b0011, 0b0101, "fermionic")
+        gen = generator_from_determinant(0b0011, 0b0101, FermionGenerator)
         s = prepare_determinant(4, 0b0011)
         amp = (gen.sign * apply_excitation(s, gen.excitation))[0b0101]
         assert amp == 1.0
 
     def test_quarter_turn_reaches_target_both_flavors(self):
-        for flavor in ("pauli", "fermionic"):
+        for flavor in (PauliGenerator, FermionGenerator):
             gen = generator_from_determinant(0b0011, 0b1100, flavor)
             s = prepare_determinant(4, 0b0011)
             out = apply_step(s, GivensStep(gen, math.pi / 2))
             assert abs(abs(out[0b1100]) - 1.0) < 1e-12
 
     def test_popcount_mismatch_rejected(self):
-        for flavor in ("pauli", "fermionic"):
+        for flavor in (PauliGenerator, FermionGenerator):
             with pytest.raises(ValueError):
                 generator_from_determinant(0b0011, 0b0111, flavor)
 
@@ -132,7 +132,7 @@ class TestMeasureBlock:
         backend = StatevectorBackend(h2.n_qubits, h2.hf_determinant, h2.hamiltonian)
         r = classical_residual(h2.hamiltonian, h2.hf_determinant)
         pick = select_deterministic(r)
-        gen = generator_from_determinant(h2.hf_determinant, pick, "fermionic")
+        gen = generator_from_determinant(h2.hf_determinant, pick, FermionGenerator)
         e0 = diagonal_element(h2.hamiltonian, h2.hf_determinant)
         block = measure_block(Circuit(), gen, e0, backend)
         assert abs(block.e0 - hf_energy(h2_data)) < 1e-12
@@ -148,7 +148,7 @@ class TestMeasureBlock:
         for _ in range(4):
             r = classical_residual(h_bar, phi0)
             pick = select_deterministic(r)
-            gen = generator_from_determinant(phi0, pick, "fermionic")
+            gen = generator_from_determinant(phi0, pick, FermionGenerator)
             block = measure_block(circuit, gen, energy, backend)
             assert abs(block.e0 - diagonal_element(h_bar, phi0)) < 1e-9
             assert abs(block.e_mu - diagonal_element(h_bar, pick)) < 1e-9
@@ -162,7 +162,7 @@ class TestMeasureBlock:
         # H diagonal on the generator's plane: c = 0 and theta = 0
         h = FermionOperator({((0,), (0,)): -1.0, ((2,), (2,)): 1.0})
         backend = StatevectorBackend(4, 0b0011, h)
-        gen = generator_from_determinant(0b0011, 0b0110, "fermionic")
+        gen = generator_from_determinant(0b0011, 0b0110, FermionGenerator)
         e0 = diagonal_element(h, 0b0011)
         block = measure_block(Circuit(), gen, e0, backend)
         assert abs(block.c) < 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import numpy as np
@@ -69,13 +70,14 @@ class TestInvariants:
     def test_heisenberg_schroedinger_consistency(self, h4, h4_exact_trace):
         # classical <Phi0|H^(k)|Phi0> equals the circuit-state expectation of
         # the original H after every prefix of steps
+        from qjacobi.fermion import FermionGenerator
         from qjacobi.jacobi import generator_from_determinant
         from qjacobi.statevector import Circuit, GivensStep
         circuit = Circuit()
         phi0 = prepare_determinant(h4.n_qubits, h4.hf_determinant)
         for rec in h4_exact_trace.records[1:]:
             gen = generator_from_determinant(h4.hf_determinant, rec.pick_determinant,
-                                             "fermionic")
+                                             FermionGenerator)
             circuit = circuit.appended(GivensStep(gen, rec.theta))
             ev = expectation_exact(h4.hamiltonian, apply_circuit(phi0, circuit))
             assert abs(ev - rec.energy) < 1e-9
@@ -148,6 +150,17 @@ class TestDeterminism:
             if ra.k >= k_c:
                 break
             assert ra.to_json() == rb.to_json()
+
+    def test_sampled_pauli_traces_unchanged(self, h4):
+        # the h4-pqj-shots benchmark runs: shot-sampled pqj is chaotic, so any
+        # change to its arithmetic, however small, changes these hashes
+        expected = {7: "7d5195039e424f4347c328fe773a4340635c1c8fb5006e1862cd8dbd6e125699",
+                    8: "8a16a6a921aeb463af7af216f3f4f10193f298b3e693c4802f9b4f86f5845098"}
+        for seed, digest in expected.items():
+            trace = run_quantum_jacobi(h4, RunConfig(
+                method="pqj", epsilon=1e-4, max_cycles=300, shots_per_term=1000,
+                rng_seed=seed, merge_threshold=1e-2))
+            assert hashlib.sha256(trace.to_jsonl().encode("ascii")).hexdigest() == digest
 
 
 class TestShotNoise:
