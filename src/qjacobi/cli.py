@@ -155,6 +155,8 @@ def _cmd_jw_dump(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    if args.topk < 1:
+        raise CliError("bad-flags", f"--topk must be >= 1, got {args.topk}")
     try:
         records = read_trace_jsonl(args.trace)
     except OSError as exc:

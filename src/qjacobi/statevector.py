@@ -3,7 +3,10 @@
 The statevector stands in for the quantum device.  Fermionic rotations are
 applied natively in the determinant basis through the nilpotent closed form
 e^{theta A} = 1 + sin(theta) A + (1 - cos(theta)) A^2; Pauli rotations through
-e^{i theta P} = cos(theta) + i sin(theta) P.
+e^{i theta P} = cos(theta) - sin(theta) P', where P = i P' for a generator's
+X-string with one Y and P' is a real signed permutation.  Every rotation is
+real, so circuits replay in float64; a state turns complex only when it is
+scattered to the full register to be measured.
 
 Each fermionic generator or Pauli string acts through a determinant map
 computed once and cached.  Fermionic circuits never leave the reference's
@@ -201,26 +204,30 @@ def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
 
 
 def _check_norm(state: np.ndarray) -> np.ndarray:
-    # np.linalg.norm's own formula for a complex vector, without its overhead
-    re, im = state.real, state.imag
-    norm = math.sqrt(re.dot(re) + im.dot(im))
+    """``state``, its norm checked over its float64 components (re and im
+    interleaved when complex): it may differ from sqrt(re.re + im.im) in the last bits."""
+    flat = state.view(np.float64)
+    norm = math.sqrt(flat.dot(flat))
     if abs(norm - 1.0) > _NORM_TOL:
         raise FloatingPointError(f"statevector norm drifted to {norm!r}")
     return state
 
 
 def apply_pauli_rotation(state: np.ndarray, gen: PauliGenerator, theta: float) -> np.ndarray:
-    """e^{i theta P} state = cos(theta) state + i sin(theta) P state.
+    """e^{i theta P} state = cos(theta) state - sin(theta) P' state.
 
-    The string's phase joins the scalar i sin(theta): it and the +-1 factors
-    are unit factors, so the values equal those of i sin(theta) (P state).
+    The generator's one Y gives its string the phase i, so i sin(theta) P is
+    -sin(theta) times the +-1 map P'.  The factors are exact and each product
+    is rounded once, so the values equal those of i sin(theta) (P state), and
+    a real state stays real.
     """
     if theta == 0.0:
         return state.copy()
-    key = gen.key
-    src, factor = _pauli_map(key, state.shape[0])
-    turn = 1j * math.sin(theta) * _pauli_phase(key)
-    out = math.cos(theta) * state + turn * (factor * state[src])
+    src, factor = _pauli_map(gen.key, state.shape[0])
+    out = state.take(src)
+    out *= factor
+    out *= -math.sin(theta)
+    out += math.cos(theta) * state
     return _check_norm(out)
 
 
@@ -237,9 +244,9 @@ def apply_fermionic_rotation(state: np.ndarray, gen: FermionGenerator, theta: fl
     if theta == 0.0:
         return state.copy()
     out, src, weight = _rotation_map(gen, sector or Sector(state.shape[0].bit_length() - 1))
-    a1 = np.zeros(state.shape, dtype=complex)
+    a1 = np.zeros_like(state)
     a1.put(out, weight * state.take(src))
-    a2 = np.zeros(state.shape, dtype=complex)
+    a2 = np.zeros_like(state)
     a2.put(out, weight * a1.take(src))
     # state + sin(theta) a1 + (1 - cos(theta)) a2, summed left to right in place
     a1 *= math.sin(theta)
@@ -411,13 +418,11 @@ class StatevectorBackend:
 
     def state(self, circuit: Circuit, extra_step: GivensStep | None = None) -> np.ndarray:
         """U(k) [extra] |Phi0> on the full register, the extra candidate
-        rotation acting first."""
-        state = prepare_determinant(self.n_qubits, self.reference)[self._dets]
+        rotation acting first.  The replay is real; the result is complex."""
+        state = prepare_determinant(self.n_qubits, self.reference).real[self._dets]
         if extra_step is not None:
             state = apply_step(state, extra_step, self._sector)
         state = apply_circuit(state, circuit, self._sector)
-        if self._sector is None:
-            return state
         full = np.zeros(1 << self.n_qubits, dtype=complex)
         full[self._dets] = state
         return full

@@ -7,9 +7,10 @@ array passes of ``qjacobi.fermion``, ``qjacobi.cumulant`` and
 the loop's insertion order, for ``==`` comparisons.  ``apply_key_to_det``
 acts one operator at a time on a determinant, ``hf_energy`` sums the
 integrals of the occupied orbitals, and the device oracles apply one
-excitation at a time over the full register.  The device oracles are built on
-``apply_key_to_det`` and share no code with ``fermion.term_action``, the
-kernel they check.
+excitation at a time over the full register.  The fermionic device oracles
+are built on ``apply_key_to_det`` and share no code with
+``fermion.term_action``, the kernel they check; the Pauli one keeps the
+complex step that the real replay replaced.
 """
 
 import math
@@ -311,3 +312,16 @@ def fermionic_rotation_loop(state, gen, theta):
     a2 = s * (apply_excitation(a1, gen.excitation)
               - apply_excitation(a1, conjugate_key(gen.excitation)))
     return state + math.sin(theta) * a1 + (1.0 - math.cos(theta)) * a2
+
+
+def pauli_rotation_loop(state, gen, theta):
+    """e^{i theta P} state in complex arithmetic, the string's phase
+    i^popcount(x & z) folded into the scalar i sin(theta): the complex step
+    the real one replaced, with its own string map."""
+    if theta == 0.0:
+        return state.copy()
+    x, z = gen.key
+    src = np.arange(state.shape[0]) ^ x
+    factor = np.where(np.bitwise_count(src & z) & 1, -1, 1)
+    turn = 1j * math.sin(theta) * (1j) ** ((x & z).bit_count() & 3)
+    return math.cos(theta) * state + turn * (factor * state[src])

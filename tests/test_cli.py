@@ -186,6 +186,17 @@ class TestErrors:
         assert code == 2
         assert err.startswith("qjacobi-error: io:")
 
+    @pytest.mark.parametrize("topk", ["0", "-3"])
+    def test_topk_below_one_writes_nothing(self, tmp_path, topk):
+        trace_path = tmp_path / "t.jsonl"
+        main(["run", "--fcidump", H2, "--method", "exact-fermion",
+              "--max-cycles", "2", "--trace", str(trace_path), "--skip-fci"])
+        for out in ([], ["--out", str(tmp_path / "d.csv")]):
+            code, stdout, err = run_cli(["diag", "--trace", str(trace_path), "--topk", topk, *out])
+            assert code == 2 and stdout == ""
+            assert err == f"qjacobi-error: bad-flags: --topk must be >= 1, got {topk}\n"
+        assert not (tmp_path / "d.csv").exists()
+
     def test_bad_trace_schema(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"not": "a record"}\n')

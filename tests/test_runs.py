@@ -324,6 +324,26 @@ class TestStageFailures:
         assert trace.termination.startswith("backend_error: statevector norm drifted")
         assert len(trace.final_circuit) == 2
 
+    def test_norm_drift_on_the_full_register_is_a_backend_error(self, h4, monkeypatch):
+        # the same drift on a Pauli run, whose steps replay on the full
+        # register: from the seventh step on the string's factors are 1% too large
+        real = statevector._pauli_map
+        dims = []
+
+        def drifting(key, dim):
+            dims.append(dim)
+            src, factor = real(key, dim)
+            return src, factor * 1.01 if len(dims) > 6 else factor
+
+        monkeypatch.setattr(statevector, "_pauli_map", drifting)
+        with pytest.raises(QJRunError) as info:
+            run_quantum_jacobi(h4, RunConfig(method="pqj", epsilon=1e-4, max_cycles=10))
+        assert set(dims) == {1 << h4.n_qubits}
+        trace = info.value.trace
+        assert len(trace.records) == 3
+        assert trace.termination.startswith("backend_error: statevector norm drifted")
+        assert len(trace.final_circuit) == 2
+
     def test_non_finite_expectation_aborts_cli_run(self, monkeypatch, capsys):
         self.expectation_failing_on_fifth_call(monkeypatch, lambda: float("nan"))
         fcidump = pathlib.Path(__file__).parent / "fixtures" / "h4_linear_1.5.fcidump"

@@ -21,7 +21,7 @@ from qjacobi.statevector import (Circuit, GivensStep, Sector, StatevectorBackend
                                  compile_operator, compile_sampled, expectation_exact,
                                  expectation_sampled, prepare_determinant)
 from support import (apply_excitation, embed_in_full_space, fermionic_rotation_loop, fidelity,
-                     generator_operator, hf_energy)
+                     generator_operator, hf_energy, pauli_rotation_loop)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -524,3 +524,67 @@ class TestSectorStep:
         w = _random_state(n, seed)
         assert (apply_fermionic_rotation(w, gen, theta).tolist()
                 == fermionic_rotation_loop(w, gen, theta).tolist())
+
+
+_ANGLES = (st.sampled_from((0.0, math.pi / 4, -math.pi / 4, math.pi / 2))
+           | st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def real_steps(draw):
+    """A one-Y Pauli or a particle-conserving fermionic generator on <= 8
+    qubits, an angle, and a sector for the fermionic step to replay on (None
+    for the full register)."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        x = draw(st.integers(1, (1 << n) - 1))
+        y = draw(st.sampled_from([1 << q for q in range(n) if x >> q & 1]))
+        return PauliGenerator(x, y), draw(_ANGLES), Sector(n), draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, n - 1))
+    r = draw(st.integers(1, min(k, n - k, 3)))
+    modes = draw(st.permutations(range(n)))
+    gen = FermionGenerator((tuple(sorted(modes[:r])), tuple(sorted(modes[r:2 * r]))),
+                           draw(st.sampled_from((1, -1))))
+    sector = Sector(n, draw(st.sampled_from((None, k))))
+    return gen, draw(_ANGLES), sector, draw(st.integers(0, 2**32 - 1))
+
+
+class TestRealReplay:
+    """Every rotation of the device is real: the float64 replay equals the
+    complex arithmetic it replaced, whose imaginary part stays exactly zero."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(real_steps())
+    def test_float64_step_equals_complex_oracle(self, case):
+        gen, theta, sector, seed = case
+        dets = statevector._sector_dets(sector)
+        v = np.random.default_rng(seed).normal(size=dets.size)
+        v /= np.linalg.norm(v)
+        full = np.zeros(1 << sector.n_qubits, dtype=complex)
+        full[dets] = v
+        if isinstance(gen, PauliGenerator):
+            out, oracle = apply_pauli_rotation(v, gen, theta), pauli_rotation_loop(full, gen, theta)
+        else:
+            out = apply_fermionic_rotation(v, gen, theta, sector)
+            oracle = fermionic_rotation_loop(full, gen, theta)
+        assert out.dtype == np.float64
+        assert out.tolist() == oracle.real[dets].tolist()
+        assert not np.any(oracle.imag)
+
+    @pytest.mark.parametrize("flavor", [FermionGenerator, PauliGenerator])
+    def test_replay_stays_float64(self, h4, flavor, monkeypatch):
+        # an upcast anywhere in the replay would keep every value and lose the speed
+        real, dtypes = statevector.apply_circuit, []
+
+        def recording(state, circuit, sector=None):
+            out = real(state, circuit, sector)
+            dtypes.extend((state.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(statevector, "apply_circuit", recording)
+        circuit = _circuit(h4, flavor)
+        backend = StatevectorBackend(h4.n_qubits, h4.hf_determinant, h4.hamiltonian,
+                                     fermionic=flavor is FermionGenerator)
+        state = backend.state(circuit, circuit.steps[0])
+        assert dtypes == [np.float64, np.float64]
+        assert state.dtype == complex and not np.any(state.imag)
