@@ -526,27 +526,17 @@ class TestSectorStep:
                 == fermionic_rotation_loop(w, gen, theta).tolist())
 
 
-_ANGLES = (st.sampled_from((0.0, math.pi / 4, -math.pi / 4, math.pi / 2))
-           | st.floats(-math.pi, math.pi))
-
-
 @st.composite
 def real_steps(draw):
-    """A one-Y Pauli or a particle-conserving fermionic generator on <= 8
-    qubits, an angle, and a sector for the fermionic step to replay on (None
-    for the full register)."""
-    n = draw(st.integers(2, 8))
+    """A fermionic step of ``sector_steps`` with its sector or the full
+    register (None particles), or a one-Y Pauli string on the full register."""
+    sector, gen, theta, seed = draw(sector_steps())
+    n = sector.n_qubits
     if draw(st.booleans()):
         x = draw(st.integers(1, (1 << n) - 1))
         y = draw(st.sampled_from([1 << q for q in range(n) if x >> q & 1]))
-        return PauliGenerator(x, y), draw(_ANGLES), Sector(n), draw(st.integers(0, 2**32 - 1))
-    k = draw(st.integers(1, n - 1))
-    r = draw(st.integers(1, min(k, n - k, 3)))
-    modes = draw(st.permutations(range(n)))
-    gen = FermionGenerator((tuple(sorted(modes[:r])), tuple(sorted(modes[r:2 * r]))),
-                           draw(st.sampled_from((1, -1))))
-    sector = Sector(n, draw(st.sampled_from((None, k))))
-    return gen, draw(_ANGLES), sector, draw(st.integers(0, 2**32 - 1))
+        return PauliGenerator(x, y), theta, Sector(n), seed
+    return gen, theta, draw(st.sampled_from((sector, Sector(n)))), seed
 
 
 class TestRealReplay:
