@@ -1,17 +1,20 @@
-"""Brute-force ground truth: determinant bases, dense matrices, exact eigensolve.
+"""Brute-force ground truth: determinant bases, the FCI matrix, exact eigensolve.
 
-Matrix elements come from the operators' own ``act``, the sparse
-per-determinant action the residual engine uses too, so the two code paths
-validate each other.
+The FCI matrix is the Hamiltonian compiled on the basis by
+``statevector.compile_operator``, whose entries and signs come from
+``fermion.term_action``, the kernel behind the residual and the device.  It
+is real, so it is built and diagonalised in float64.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .hamiltonian import MolecularProblem
+from .statevector import compile_operator
 
 _HERM_TOL = 1e-10
 
@@ -22,60 +25,25 @@ def enumerate_determinants(n_qubits: int, n_electrons: int, sz: float | None = N
     With ``sz`` given (in units of hbar, alpha = even bits), the alpha/beta
     split is fixed to n_alpha - n_beta = 2 sz.
     """
+    dets = sorted(sum(1 << q for q in c) for c in combinations(range(n_qubits), n_electrons))
     if sz is None:
-        dets = (sum(1 << q for q in c) for c in combinations(range(n_qubits), n_electrons))
-        return tuple(sorted(dets))
+        return tuple(dets)
     twice_sz = round(2 * sz)
     if (n_electrons + twice_sz) % 2:
         raise ValueError("sz incompatible with electron count")
-    n_alpha = (n_electrons + twice_sz) // 2
-    n_beta = n_electrons - n_alpha
-    alphas = range(0, n_qubits, 2)
-    betas = range(1, n_qubits, 2)
-    dets = []
-    for ca in combinations(alphas, n_alpha):
-        bits_a = sum(1 << q for q in ca)
-        for cb in combinations(betas, n_beta):
-            dets.append(bits_a + sum(1 << q for q in cb))
-    return tuple(sorted(dets))
+    alpha = sum(1 << q for q in range(0, n_qubits, 2))
+    return tuple(d for d in dets if 2 * (d & alpha).bit_count() == n_electrons + twice_sz)
 
 
+@dataclass(frozen=True)
 class DeterminantBasis:
-    """Ordered determinant list with an index map."""
+    """Ordered determinant list."""
 
-    def __init__(self, determinants):
-        self.determinants = tuple(determinants)
-        self.index = {d: i for i, d in enumerate(self.determinants)}
+    determinants: tuple[int, ...]
 
     @classmethod
     def build(cls, n_qubits: int, n_electrons: int, sz: float | None = None) -> "DeterminantBasis":
         return cls(enumerate_determinants(n_qubits, n_electrons, sz))
-
-    def __len__(self) -> int:
-        return len(self.determinants)
-
-
-def dense_matrix(op, n_qubits: int, basis: DeterminantBasis | None = None) -> np.ndarray:
-    """<nu| op |mu> by sparse action on basis states.
-
-    ``basis=None`` uses the full 2^n space ordered by integer value.  Entries
-    landing outside a restricted basis are discarded (the sector projection).
-    """
-    if basis is None:
-        dets = range(1 << n_qubits)
-        index = None
-        dim = 1 << n_qubits
-    else:
-        dets = basis.determinants
-        index = basis.index
-        dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for j, d in enumerate(dets):
-        for d2, value in op.act(d).items():
-            i = d2 if index is None else index.get(d2)
-            if i is not None:
-                mat[i, j] = value
-    return mat
 
 
 def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -95,9 +63,25 @@ def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[0]), vec
 
 
+def fci_matrix(op, basis: DeterminantBasis) -> np.ndarray:
+    """<nu| op |mu> over ``basis`` in float64, from the FermionOperator ``op``
+    compiled on it.
+
+    The constant goes on the diagonal first, then the compiled entries add in
+    term order, as ``FermionOperator.act`` sums them; entries whose row lies
+    outside the basis are dropped (the sector projection).
+    """
+    dets = np.array(basis.determinants, dtype=np.uint64)
+    compiled = compile_operator(op, dets)
+    rows, cols = (np.searchsorted(dets, a.astype(np.uint64)) for a in (compiled.rows, compiled.cols))
+    inside = dets[np.minimum(rows, dets.size - 1)] == compiled.rows.astype(np.uint64)
+    matrix = np.diag(np.full(dets.size, compiled.constant))
+    np.add.at(matrix, (rows[inside], cols[inside]), compiled.vals[inside])
+    return matrix
+
+
 def fci_ground_state(problem: MolecularProblem, sz: float | None = 0.0):
     """FCI energy and vector of a molecular problem in its particle sector."""
     basis = DeterminantBasis.build(problem.n_qubits, problem.n_electrons, sz)
-    energy, vec = ground_state(dense_matrix(problem.hamiltonian, problem.n_qubits, basis))
+    energy, vec = ground_state(fci_matrix(problem.hamiltonian, basis))
     return energy, vec, basis
-

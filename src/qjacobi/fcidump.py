@@ -40,13 +40,6 @@ class FCIDumpData:
     one_body: dict[tuple[int, int], float] = field(default_factory=dict)
     two_body: dict[tuple[int, int, int, int], float] = field(default_factory=dict)
 
-    def one(self, p: int, q: int) -> float:
-        return self.one_body.get(_canonical_one(p, q), 0.0)
-
-    def two(self, p: int, q: int, r: int, s: int) -> float:
-        """(pq|rs) expanded through the 8-fold permutational symmetry."""
-        return self.two_body.get(_canonical_two(p, q, r, s), 0.0)
-
 
 def _tokens(line: str) -> list[str]:
     return line.replace("D", "E").replace("d", "e").split()

@@ -38,7 +38,6 @@ from .pauli import ZERO_FLOOR, TermsView, _merge_first_seen
 MAX_MODES = 64  # masks are uint64
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
-IDENTITY_KEY: Key = ((), ())
 
 
 def conjugate_key(key: Key) -> Key:
@@ -247,26 +246,6 @@ class FermionOperator:
 
     def __repr__(self) -> str:
         return f"FermionOperator({self.term_count()} terms, constant={self.constant:+.6g})"
-
-
-def normal_order(events: Iterable[tuple[int, bool]],
-                 coefficient: float = 1.0) -> tuple[dict[Key, float], float]:
-    """Normal order a raw string of (index, is_creation) events, scaled by
-    ``coefficient``, into ``(terms, constant)`` with dust pruned.
-
-    Anticommutator contractions generate the lower-rank terms; the result is
-    canonical and the function is idempotent on already-canonical input.
-    """
-    enc = tuple((int(q) << 1) | (1 if c else 0) for q, c in events)
-    terms: dict[Key, float] = {}
-    constant = 0.0
-    for key, c in _reorder(enc):
-        if key == IDENTITY_KEY:
-            constant += coefficient * c
-        else:
-            terms[key] = terms.get(key, 0.0) + coefficient * c
-    terms = {k: c for k, c in terms.items() if abs(c) > ZERO_FLOOR}
-    return terms, (0.0 if abs(constant) <= ZERO_FLOOR else constant)
 
 
 @dataclass(frozen=True)

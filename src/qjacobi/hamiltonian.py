@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fcidump import FCIDumpData
-from .fermion import FermionOperator, Key, normal_order
+import numpy as np
+
+from .fcidump import FCIDumpData, _canonical_one, _canonical_two
+from .fermion import MAX_MODES, FermionOperator
+from .pauli import ZERO_FLOOR, _merge_first_seen
 
 _HERMITICITY_TOL = 1e-10
 
@@ -26,11 +29,6 @@ class MolecularProblem:
     hf_determinant: int
 
 
-def spin_orbital(spatial_0based: int, spin: int) -> int:
-    """spin 0 = alpha (even index), spin 1 = beta (odd index)."""
-    return 2 * spatial_0based + spin
-
-
 def hf_determinant_bits(n_electrons: int, ms2: int = 0) -> int:
     """Aufbau determinant over the interleaved ordering."""
     n_alpha = (n_electrons + ms2) // 2
@@ -43,51 +41,61 @@ def hf_determinant_bits(n_electrons: int, ms2: int = 0) -> int:
     return det
 
 
+def _dense_integrals(table: dict, n: int, canonical, orders) -> np.ndarray:
+    """``table`` over 0-based orbitals, each value written under every index
+    order that shares its key; ValueError for a key that is not canonical or
+    not within 1..n."""
+    rank = len(orders[0])
+    dense = np.zeros((n,) * rank)
+    for key, v in table.items():
+        if len(key) != rank or canonical(*key) != key or not all(1 <= i <= n for i in key):
+            raise ValueError(f"integral key {key} is not canonical or not within 1..{n}")
+        for order in orders:
+            dense[tuple(key[k] - 1 for k in order)] = v
+    return dense
+
+
+def _pieces(dense: np.ndarray, spins) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Values of the nonzero entries of ``dense``, each repeated for every
+    row of ``spins`` (one spin per index), in loop order (orbitals, then
+    spins), and per index the uint64 mask of its spin orbital."""
+    idx = np.nonzero(dense)
+    spins = np.array(spins)
+    return (np.repeat(dense[idx], len(spins)),
+            [np.uint64(1) << (2 * i[:, None] + s).ravel().astype(np.uint64)
+             for i, s in zip(idx, spins.T)])
+
+
 def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
     """Assemble H = sum h_pq a+_p a_q + 1/2 sum (pq|rs) a+_p a+_r a_s a_q + core.
 
-    The raw products are re-expressed in canonical normal-ordered keys; the
-    result is Hermitian by construction and rejected otherwise.
+    Every product is already normal-ordered, so each piece is one canonical
+    term, formed as arrays: a+_P a_Q, P = (p, s), Q = (q, s), in loop order
+    (p, q, s); then a+_P a+_R a_S a_Q, P = (p, sigma), Q = (q, sigma), R = (r,
+    tau), S = (s, tau), in loop order (p, q, r, s, sigma, tau).  A two-body
+    piece vanishes when P == R or S == Q; sorting its creations ascending and
+    annihilations descending gives it (v / 2) (-1)^[P > R] (-1)^[S < Q].
+    Pieces at or below ZERO_FLOOR are dropped and equal keys summed in loop
+    order.  Integrals must sit under canonical keys within 1..n_spatial, as
+    ``parse_fcidump`` stores them; a non-Hermitian result is rejected.
     """
     n = data.n_spatial
-    terms: dict[Key, float] = {}
-    constant = data.core_energy
-
-    def add(events, coefficient):
-        nonlocal constant
-        piece, piece_constant = normal_order(events, coefficient)
-        constant += piece_constant
-        for k, c in piece.items():
-            terms[k] = terms.get(k, 0.0) + c
-
-    for (p, q), v in data.one_body.items():
-        sym = data.one(q, p)
-        if abs(v - sym) > _HERMITICITY_TOL:
-            raise ValueError(f"one-body integral ({p},{q}) asymmetric beyond tolerance")
-
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            v = data.one(p, q)
-            if v == 0.0:
-                continue
-            for s in (0, 1):
-                add([(spin_orbital(p - 1, s), True), (spin_orbital(q - 1, s), False)], v)
-
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            for r in range(1, n + 1):
-                for s_ in range(1, n + 1):
-                    v = data.two(p, q, r, s_)
-                    if v == 0.0:
-                        continue
-                    for sig in (0, 1):
-                        for tau in (0, 1):
-                            add([(spin_orbital(p - 1, sig), True),
-                                 (spin_orbital(r - 1, tau), True),
-                                 (spin_orbital(s_ - 1, tau), False),
-                                 (spin_orbital(q - 1, sig), False)], 0.5 * v)
-
-    h = FermionOperator(terms, constant).pruned()
+    if 2 * n > MAX_MODES:
+        raise ValueError(f"fermionic operators support at most {MAX_MODES} modes")
+    one = _dense_integrals(data.one_body, n, _canonical_one, ((0, 1), (1, 0)))
+    two = _dense_integrals(data.two_body, n, _canonical_two,
+                           ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+                            (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)))
+    v1, (p1, q1) = _pieces(one, ((0, 0), (1, 1)))
+    v2, (p2, q2, r2, s2) = _pieces(two, ((0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)))
+    # one-bit masks compare as their mode indices do
+    ok = (p2 != r2) & (s2 != q2)
+    cre = np.concatenate((p1, (p2 | r2)[ok]))
+    ann = np.concatenate((q1, (s2 | q2)[ok]))
+    coeffs = np.concatenate((v1, ((0.5 * v2) * np.where((p2 > r2) ^ (s2 < q2), -1.0, 1.0))[ok]))
+    keep = np.abs(coeffs) > ZERO_FLOOR
+    (cre, ann), coeffs = _merge_first_seen((cre[keep], ann[keep]), coeffs[keep])
+    h = FermionOperator.from_arrays(cre, ann, coeffs, data.core_energy).pruned()
     if not h.is_hermitian(_HERMITICITY_TOL):
         raise ValueError("assembled Hamiltonian is not Hermitian; check integral symmetry")
     return MolecularProblem(
@@ -97,4 +105,3 @@ def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
         core_energy=data.core_energy,
         hf_determinant=hf_determinant_bits(data.n_electrons, data.ms2),
     )
-

@@ -191,7 +191,7 @@ def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
     a state supported on ``dets`` gets the same value as over all columns.
     Blocks of terms go through ``term_action``; entries keep term, then column order.
     """
-    step = max(1, _COMPILE_BLOCK // dets.size)
+    step = max(1, _COMPILE_BLOCK // max(1, dets.size))
     parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
     for lo in range(0, op.coeffs.size, step):
         cre, ann = (a[lo:lo + step, None] for a in (op.cre, op.ann))

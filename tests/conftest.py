@@ -31,6 +31,16 @@ def h4(h4_data):
 
 
 @pytest.fixture(scope="session")
+def h6_data():
+    return parse_fcidump((FIXTURES / "h6_linear_1.5.fcidump").read_text())
+
+
+@pytest.fixture(scope="session")
+def h6(h6_data):
+    return build_hamiltonian(h6_data)
+
+
+@pytest.fixture(scope="session")
 def h2_fci(h2):
     return fci_ground_state(h2, sz=0.0)
 

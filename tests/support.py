@@ -1,10 +1,12 @@
 """Helpers that only the tests use, and the dict loops kept as oracles.
 
-The algebra helpers (products, commutators, sums) build operators through
-their ``.terms`` views.  The oracles are the term-by-term dict loops that the
-array passes of ``qjacobi.fermion``, ``qjacobi.cumulant`` and
-``qjacobi.jacobi.truncate`` replaced; each returns ``(terms, constant)`` with
-the loop's insertion order, for ``==`` comparisons.  ``apply_key_to_det``
+The algebra helpers (Wick normal ordering, products, commutators, sums) build
+operators through their ``.terms`` views.  The oracles are the term-by-term
+dict loops that the array passes of ``qjacobi.fermion``, ``qjacobi.cumulant``,
+``qjacobi.jacobi.truncate`` and ``qjacobi.hamiltonian`` replaced; each returns
+``(terms, constant)`` with the loop's insertion order, for ``==``
+comparisons.  ``dense_matrix`` fills a complex matrix one ``act`` at a time,
+the oracle for the compiled FCI matrix.  ``apply_key_to_det``
 acts one operator at a time on a determinant, ``hf_energy`` sums the
 integrals of the occupied orbitals, and the device oracles apply one
 excitation at a time over the full register.  The fermionic device oracles
@@ -18,14 +20,35 @@ from functools import lru_cache
 
 import numpy as np
 
-from qjacobi.fcidump import FCIDumpData
-from qjacobi.fermion import (IDENTITY_KEY, ZERO_FLOOR, FermionOperator, conjugate_key,
-                             key_support, normal_order, term_product)
+from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two
+from qjacobi.fermion import (ZERO_FLOOR, FermionOperator, _reorder, conjugate_key, key_support,
+                             term_product)
+
+IDENTITY_KEY = ((), ())
 
 
 # ---------------------------------------------------------------------------
 # Operator algebra
 # ---------------------------------------------------------------------------
+
+def normal_order(events, coefficient=1.0):
+    """Normal order a raw string of (index, is_creation) events, scaled by
+    ``coefficient``, into ``(terms, constant)`` with dust pruned.
+
+    Anticommutator contractions generate the lower-rank terms; the result is
+    canonical and the function is idempotent on already-canonical input.
+    """
+    enc = tuple((int(q) << 1) | (1 if c else 0) for q, c in events)
+    terms = {}
+    constant = 0.0
+    for key, c in _reorder(enc):
+        if key == IDENTITY_KEY:
+            constant += coefficient * c
+        else:
+            terms[key] = terms.get(key, 0.0) + coefficient * c
+    terms = {k: c for k, c in terms.items() if abs(c) > ZERO_FLOOR}
+    return terms, (0.0 if abs(constant) <= ZERO_FLOOR else constant)
+
 
 def normal_op(events, coefficient=1.0):
     """``normal_order`` as a FermionOperator."""
@@ -96,6 +119,34 @@ def embed_in_full_space(vector, basis, n_qubits):
     return full
 
 
+def one_integral(data, p, q):
+    """h_pq through the symmetry h_pq = h_qp."""
+    return data.one_body.get(_canonical_one(p, q), 0.0)
+
+
+def two_integral(data, p, q, r, s):
+    """(pq|rs) expanded through the 8-fold permutational symmetry."""
+    return data.two_body.get(_canonical_two(p, q, r, s), 0.0)
+
+
+def dense_matrix(op, n_qubits, basis=None):
+    """<nu| op |mu> by sparse action on basis states, in complex128: the
+    oracle for the compiled FCI matrix.
+
+    ``basis=None`` uses the full 2^n space ordered by integer value.  Entries
+    landing outside a restricted basis are discarded (the sector projection).
+    """
+    dets = range(1 << n_qubits) if basis is None else basis.determinants
+    index = {d: i for i, d in enumerate(dets)}
+    mat = np.zeros((len(dets), len(dets)), dtype=complex)
+    for j, d in enumerate(dets):
+        for d2, value in op.act(d).items():
+            i = index.get(d2)
+            if i is not None:
+                mat[i, j] = value
+    return mat
+
+
 def hf_energy(data: FCIDumpData) -> float:
     """Independent closed-shell style HF energy over occupied spin orbitals,
     the oracle for the assembled Hamiltonian's reference energy.
@@ -112,12 +163,12 @@ def hf_energy(data: FCIDumpData) -> float:
         occ.append((i + 1, 1))
     e = data.core_energy
     for p, _ in occ:
-        e += data.one(p, p)
+        e += one_integral(data, p, p)
     for p, sp in occ:
         for q, sq in occ:
-            e += 0.5 * data.two(p, p, q, q)
+            e += 0.5 * two_integral(data, p, p, q, q)
             if sp == sq:
-                e -= 0.5 * data.two(p, q, q, p)
+                e -= 0.5 * two_integral(data, p, q, q, p)
     return e
 
 
@@ -233,6 +284,44 @@ def truncate_loop(op, epsilon, n_electrons):
         if rank <= n_electrons and (rank <= 2 or abs(coeff) >= epsilon):
             kept[key] = coeff
     return kept, op.constant
+
+
+def build_hamiltonian_loop(data):
+    """The terms and constant of ``hamiltonian.build_hamiltonian`` as a dict
+    loop: every integral read through ``one_integral``/``two_integral``, every
+    piece through ``normal_order``."""
+    n = data.n_spatial
+    terms = {}
+    constant = data.core_energy
+
+    def add(events, coefficient):
+        nonlocal constant
+        piece, piece_constant = normal_order(events, coefficient)
+        constant += piece_constant
+        for k, c in piece.items():
+            terms[k] = terms.get(k, 0.0) + c
+
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            v = one_integral(data, p, q)
+            if v == 0.0:
+                continue
+            for s in (0, 1):
+                add([(2 * (p - 1) + s, True), (2 * (q - 1) + s, False)], v)
+
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            for r in range(1, n + 1):
+                for s_ in range(1, n + 1):
+                    v = two_integral(data, p, q, r, s_)
+                    if v == 0.0:
+                        continue
+                    for sig in (0, 1):
+                        for tau in (0, 1):
+                            add([(2 * (p - 1) + sig, True), (2 * (r - 1) + tau, True),
+                                 (2 * (s_ - 1) + tau, False), (2 * (q - 1) + sig, False)],
+                                0.5 * v)
+    return _pruned(terms, constant, ZERO_FLOOR)
 
 
 def apply_key_to_det(key, det):

@@ -16,7 +16,6 @@ from scipy.linalg import expm
 from qjacobi.cumulant import cumulant_decompose
 from qjacobi.diagnostics import (WeightDistribution, participation_ratio,
                                  shannon_entropy, topk_mass)
-from qjacobi.fci import dense_matrix
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
 from qjacobi.jacobi import (EffectiveBlock, RunConfig, diagonal_element,
                             generator_from_determinant, merge_step,
@@ -27,7 +26,7 @@ from qjacobi.statevector import (Circuit, GivensStep, apply_circuit,
                                  apply_fermionic_rotation, apply_step,
                                  expectation_exact, expectation_sampled,
                                  prepare_determinant)
-from support import fidelity, generator_operator, normal_op
+from support import dense_matrix, fidelity, generator_operator, normal_op
 
 
 @contextmanager

@@ -76,6 +76,14 @@ class TestFciCommand:
         amps = np.array([float(line.split()[1]) for line in lines])
         assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
 
+    def test_vector_is_real_with_positive_pivot(self, tmp_path, capsys, h4_fci):
+        out = tmp_path / "vec.txt"
+        assert main(["fci", "--fcidump", H4, "--vector", str(out)]) == 0
+        capsys.readouterr()
+        amps = np.array([float(line.split()[1]) for line in out.read_text().splitlines()])
+        assert np.array_equal(amps, h4_fci[1])
+        assert amps[np.argmax(np.abs(amps))] > 0
+
 
 class TestJwDumpCommand:
     def test_lists_pauli_terms(self, capsys, h2):

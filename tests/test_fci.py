@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qjacobi.fci import DeterminantBasis, dense_matrix, enumerate_determinants, ground_state
+from qjacobi.fci import (DeterminantBasis, enumerate_determinants, fci_ground_state, fci_matrix,
+                         ground_state)
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
-from support import embed_in_full_space, hf_energy
+from support import dense_matrix, embed_in_full_space, hf_energy
 
 
 def test_enumeration_counts():
@@ -46,6 +47,11 @@ def test_ground_state_offdiagonal():
     assert v[np.argmax(np.abs(v))].real > 0
 
 
+def test_empty_sector_rejected(h2):
+    with pytest.raises(ValueError):
+        fci_ground_state(h2, sz=3.0)
+
+
 def test_non_hermitian_rejected():
     with pytest.raises(ValueError):
         ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -75,3 +81,29 @@ def test_fci_h2_value_sane(h2_data, h2_fci):
     # correlation energy for H2/STO-6G near equilibrium is ~ -20 mHartree
     corr = h2_fci[0] - hf_energy(h2_data)
     assert -0.05 < corr < -0.005
+
+
+class TestCompiledMatrix:
+    """The FCI matrix compiled in float64 is ``==`` to the real part of the
+    complex ``act`` oracle, whose imaginary part is exactly 0."""
+
+    @pytest.mark.parametrize("name, sz", [("h2", 0.0), ("h4", 0.0), ("h6", 0.0),
+                                          ("h4", None), ("h4", 1.0)])
+    def test_matches_dense_oracle(self, request, name, sz):
+        problem = request.getfixturevalue(name)
+        basis = DeterminantBasis.build(problem.n_qubits, problem.n_electrons, sz)
+        matrix = fci_matrix(problem.hamiltonian, basis)
+        oracle = dense_matrix(problem.hamiltonian, problem.n_qubits, basis)
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix, oracle.real)
+        assert not np.any(oracle.imag)
+        energy, vec, _ = fci_ground_state(problem, sz)
+        assert abs(energy - ground_state(oracle)[0]) < 1e-12
+        assert vec.dtype == np.float64 and vec[np.argmax(np.abs(vec))] > 0
+
+    def test_rows_outside_the_basis_dropped(self):
+        # a+_1 a_0 maps |01> to |10>, outside a basis of |01> alone: 1 + 2 is left
+        op = FermionOperator({((1,), (0,)): 0.5, ((0,), (0,)): 2.0}, constant=1.0)
+        assert np.array_equal(fci_matrix(op, DeterminantBasis((0b01,))), [[3.0]])
+        full = DeterminantBasis((0b01, 0b10))
+        assert np.array_equal(fci_matrix(op, full), dense_matrix(op, 2, full).real)

@@ -10,14 +10,13 @@ from scipy.linalg import expm
 
 from qjacobi import fermion
 from qjacobi.cumulant import cumulant_decompose
-from qjacobi.fci import dense_matrix
 from qjacobi.fermion import (FermionGenerator, FermionOperator, _pattern_table, _reorder,
                              _shape, _shape_table, bch_transform, conjugate_key, key_events,
                              key_support, term_product)
 from qjacobi.jacobi import (RunConfig, classical_residual, generator_from_determinant,
                             run_quantum_jacobi, select_deterministic, truncate)
 from support import (act_loop, apply_key_to_det, bch_loop, classify_indices, commutator,
-                     cumulant_loop, excitation_rank, generator_operator, max_rank, multiply,
+                     cumulant_loop, dense_matrix, excitation_rank, generator_operator, max_rank, multiply,
                      normal_op, plus, scaled, truncate_loop, wick_structure)
 
 

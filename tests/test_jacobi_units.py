@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qjacobi.fci import DeterminantBasis, dense_matrix
+from qjacobi.fci import DeterminantBasis
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
 from qjacobi.jacobi import (EffectiveBlock, ResidualVector, RunConfig,
                             classical_residual, diagonal_element,
@@ -17,7 +17,7 @@ from qjacobi.jordan_wigner import jordan_wigner
 from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, StatevectorBackend,
                                  apply_circuit, apply_step, prepare_determinant)
-from support import apply_excitation, fidelity, hf_energy
+from support import apply_excitation, dense_matrix, fidelity, hf_energy
 
 
 class TestClassicalResidual:
@@ -37,7 +37,7 @@ class TestClassicalResidual:
     def test_matches_fci_matrix_row(self, h4):
         basis = DeterminantBasis.build(h4.n_qubits, h4.n_electrons)
         mat = dense_matrix(h4.hamiltonian, h4.n_qubits, basis)
-        col = basis.index[h4.hf_determinant]
+        col = basis.determinants.index(h4.hf_determinant)
         r = classical_residual(h4.hamiltonian, h4.hf_determinant)
         for i, det in enumerate(basis.determinants):
             if det == h4.hf_determinant:
@@ -69,7 +69,7 @@ class TestSelection:
     def test_h2_first_pick_matches_oracle(self, h2):
         basis = DeterminantBasis.build(h2.n_qubits, h2.n_electrons)
         mat = dense_matrix(h2.hamiltonian, h2.n_qubits, basis)
-        col = basis.index[h2.hf_determinant]
+        col = basis.determinants.index(h2.hf_determinant)
         couplings = {d: abs(mat[i, col]) for i, d in enumerate(basis.determinants)
                      if d != h2.hf_determinant}
         best = max(couplings, key=couplings.get)

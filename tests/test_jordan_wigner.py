@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qjacobi.fci import DeterminantBasis, dense_matrix
+from qjacobi.fci import DeterminantBasis
 from qjacobi.fermion import FermionGenerator, FermionOperator
 from qjacobi.jordan_wigner import jordan_wigner, jw_generator
 from qjacobi.pauli import PAULI_IDENTITY, pauli_multiply
-from support import generator_operator, multiply, plus
+from support import dense_matrix, generator_operator, multiply, plus
 
 
 def max_abs_imag(op):

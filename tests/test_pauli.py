@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qjacobi.fci import dense_matrix
 from qjacobi.jacobi import truncate
 from qjacobi.pauli import (PAULI_IDENTITY, ZERO_FLOOR, PauliGenerator, PauliOperator,
                            bch_transform_pauli, pauli_label, pauli_multiply,
                            pauli_weight)
+from support import dense_matrix
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 

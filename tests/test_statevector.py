@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 from qjacobi import statevector
 from qjacobi.fcidump import parse_fcidump
-from qjacobi.fci import dense_matrix
 from qjacobi.fermion import FermionGenerator, FermionOperator, conjugate_key
 from qjacobi.hamiltonian import build_hamiltonian
 from qjacobi.jacobi import RunConfig, run_quantum_jacobi
@@ -20,8 +19,8 @@ from qjacobi.statevector import (Circuit, GivensStep, Sector, StatevectorBackend
                                  apply_circuit, apply_fermionic_rotation, apply_pauli_rotation,
                                  compile_operator, compile_sampled, expectation_exact,
                                  expectation_sampled, prepare_determinant)
-from support import (apply_excitation, embed_in_full_space, fermionic_rotation_loop, fidelity,
-                     generator_operator, hf_energy, pauli_rotation_loop)
+from support import (apply_excitation, dense_matrix, embed_in_full_space, fermionic_rotation_loop,
+                     fidelity, generator_operator, hf_energy, pauli_rotation_loop)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
