@@ -1,7 +1,7 @@
 """Brute-force ground truth: determinant bases, the FCI matrix, exact eigensolve.
 
-The FCI matrix is the Hamiltonian compiled on the basis by
-``statevector.compile_operator``, whose entries and signs come from
+The FCI matrix holds the Hamiltonian's entries on the basis from
+``statevector.term_entries``, whose entries and signs come from
 ``fermion.term_action``, the kernel behind the residual and the device.  It
 is real, so it is built and diagonalised in float64.
 """
@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .hamiltonian import MolecularProblem
-from .statevector import compile_operator
+from .statevector import term_entries
 
 _HERM_TOL = 1e-10
 
@@ -25,21 +25,33 @@ def enumerate_determinants(n_qubits: int, n_electrons: int, sz: float | None = N
     With ``sz`` given (in units of hbar, alpha = even bits), the alpha/beta
     split is fixed to n_alpha - n_beta = 2 sz.
     """
-    dets = sorted(sum(1 << q for q in c) for c in combinations(range(n_qubits), n_electrons))
     if sz is None:
-        return tuple(dets)
+        dets = (sum(1 << q for q in c) for c in combinations(range(n_qubits), n_electrons))
+        return tuple(sorted(dets))
     twice_sz = round(2 * sz)
-    if (n_electrons + twice_sz) % 2:
+    if (n_electrons + twice_sz) % 2 or abs(twice_sz) > n_electrons:
         raise ValueError("sz incompatible with electron count")
-    alpha = sum(1 << q for q in range(0, n_qubits, 2))
-    return tuple(d for d in dets if 2 * (d & alpha).bit_count() == n_electrons + twice_sz)
+    n_alpha = (n_electrons + twice_sz) // 2
+    n_beta = n_electrons - n_alpha
+    alphas = range(0, n_qubits, 2)
+    betas = range(1, n_qubits, 2)
+    dets = []
+    for ca in combinations(alphas, n_alpha):
+        bits_a = sum(1 << q for q in ca)
+        for cb in combinations(betas, n_beta):
+            dets.append(bits_a + sum(1 << q for q in cb))
+    return tuple(sorted(dets))
 
 
 @dataclass(frozen=True)
 class DeterminantBasis:
-    """Ordered determinant list."""
+    """Determinants in strictly ascending order, as bitstrings."""
 
     determinants: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(a >= b for a, b in zip(self.determinants, self.determinants[1:])):
+            raise ValueError("determinants must be strictly ascending")
 
     @classmethod
     def build(cls, n_qubits: int, n_electrons: int, sz: float | None = None) -> "DeterminantBasis":
@@ -64,24 +76,26 @@ def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def fci_matrix(op, basis: DeterminantBasis) -> np.ndarray:
-    """<nu| op |mu> over ``basis`` in float64, from the FermionOperator ``op``
-    compiled on it.
+    """<nu| op |mu> over ``basis`` in float64, from the FermionOperator ``op``.
 
-    The constant goes on the diagonal first, then the compiled entries add in
-    term order, as ``FermionOperator.act`` sums them; entries whose row lies
-    outside the basis are dropped (the sector projection).
+    The constant goes on the diagonal first, then the entries add in term
+    order, as ``FermionOperator.act`` sums them; entries whose row lies
+    outside the basis are dropped (the sector projection).  Rows are found by
+    bisection, hence the ascending basis.
     """
     dets = np.array(basis.determinants, dtype=np.uint64)
-    compiled = compile_operator(op, dets)
-    rows, cols = (np.searchsorted(dets, a.astype(np.uint64)) for a in (compiled.rows, compiled.cols))
-    inside = dets[np.minimum(rows, dets.size - 1)] == compiled.rows.astype(np.uint64)
-    matrix = np.diag(np.full(dets.size, compiled.constant))
-    np.add.at(matrix, (rows[inside], cols[inside]), compiled.vals[inside])
+    matrix = np.diag(np.full(dets.size, op.constant))
+    for rows, cols, vals in term_entries(op, dets):
+        pos = np.searchsorted(dets, rows)
+        inside = dets[np.minimum(pos, dets.size - 1)] == rows
+        np.add.at(matrix, (pos[inside], cols[inside]), vals[inside])
     return matrix
 
 
 def fci_ground_state(problem: MolecularProblem, sz: float | None = 0.0):
     """FCI energy and vector of a molecular problem in its particle sector."""
     basis = DeterminantBasis.build(problem.n_qubits, problem.n_electrons, sz)
+    if not basis.determinants:
+        raise ValueError(f"no determinant of {problem.n_electrons} electrons at sz={sz}")
     energy, vec = ground_state(fci_matrix(problem.hamiltonian, basis))
     return energy, vec, basis

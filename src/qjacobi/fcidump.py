@@ -12,6 +12,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 _SYM_TOL = 1e-10
 
 
@@ -29,6 +31,11 @@ def _canonical_two(p: int, q: int, r: int, s: int) -> tuple[int, int, int, int]:
     return pq + rs if pq >= rs else rs + pq
 
 
+# index swaps that carry the canonical keys onto every other index order; the
+# pairs swap first, so each later swap reads entries already filled
+_SWAPS = {2: ((1, 0),), 4: ((2, 3, 0, 1), (1, 0, 2, 3), (0, 1, 3, 2))}
+
+
 @dataclass
 class FCIDumpData:
     """Parsed FCIDUMP content (1-based spatial indices, chemist notation)."""
@@ -39,6 +46,24 @@ class FCIDumpData:
     core_energy: float = 0.0
     one_body: dict[tuple[int, int], float] = field(default_factory=dict)
     two_body: dict[tuple[int, int, int, int], float] = field(default_factory=dict)
+
+    def dense_integrals(self) -> tuple[np.ndarray, ...]:
+        """h_pq and (pq|rs) as arrays over 0-based orbitals, each value under
+        every index order that shares its key (a zero entry takes its image's
+        value).  ValueError names a key that is not canonical or not within
+        1..n_spatial."""
+        n, arrays = self.n_spatial, []
+        for table, canonical, rank in ((self.one_body, _canonical_one, 2),
+                                       (self.two_body, _canonical_two, 4)):
+            dense = np.zeros((n,) * rank)
+            for key, v in table.items():
+                if len(key) != rank or canonical(*key) != key or not all(1 <= i <= n for i in key):
+                    raise ValueError(f"integral key {key} is not canonical or not within 1..{n}")
+                dense[tuple(i - 1 for i in key)] = v
+            for axes in _SWAPS[rank]:
+                dense = np.where(dense != 0, dense, dense.transpose(axes))
+            arrays.append(dense)
+        return tuple(arrays)
 
 
 def _tokens(line: str) -> list[str]:

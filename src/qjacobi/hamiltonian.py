@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fcidump import FCIDumpData, _canonical_one, _canonical_two
+from .fcidump import FCIDumpData
 from .fermion import MAX_MODES, FermionOperator
 from .pauli import ZERO_FLOOR, _merge_first_seen
 
@@ -41,20 +41,6 @@ def hf_determinant_bits(n_electrons: int, ms2: int = 0) -> int:
     return det
 
 
-def _dense_integrals(table: dict, n: int, canonical, orders) -> np.ndarray:
-    """``table`` over 0-based orbitals, each value written under every index
-    order that shares its key; ValueError for a key that is not canonical or
-    not within 1..n."""
-    rank = len(orders[0])
-    dense = np.zeros((n,) * rank)
-    for key, v in table.items():
-        if len(key) != rank or canonical(*key) != key or not all(1 <= i <= n for i in key):
-            raise ValueError(f"integral key {key} is not canonical or not within 1..{n}")
-        for order in orders:
-            dense[tuple(key[k] - 1 for k in order)] = v
-    return dense
-
-
 def _pieces(dense: np.ndarray, spins) -> tuple[np.ndarray, list[np.ndarray]]:
     """Values of the nonzero entries of ``dense``, each repeated for every
     row of ``spins`` (one spin per index), in loop order (orbitals, then
@@ -76,16 +62,13 @@ def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
     piece vanishes when P == R or S == Q; sorting its creations ascending and
     annihilations descending gives it (v / 2) (-1)^[P > R] (-1)^[S < Q].
     Pieces at or below ZERO_FLOOR are dropped and equal keys summed in loop
-    order.  Integrals must sit under canonical keys within 1..n_spatial, as
-    ``parse_fcidump`` stores them; a non-Hermitian result is rejected.
+    order.  ``FCIDumpData.dense_integrals`` rejects an integral under a key
+    that is not canonical or out of range; a non-Hermitian result is rejected.
     """
     n = data.n_spatial
     if 2 * n > MAX_MODES:
         raise ValueError(f"fermionic operators support at most {MAX_MODES} modes")
-    one = _dense_integrals(data.one_body, n, _canonical_one, ((0, 1), (1, 0)))
-    two = _dense_integrals(data.two_body, n, _canonical_two,
-                           ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
-                            (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0)))
+    one, two = data.dense_integrals()
     v1, (p1, q1) = _pieces(one, ((0, 0), (1, 1)))
     v2, (p2, q2, r2, s2) = _pieces(two, ((0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)))
     # one-bit masks compare as their mode indices do

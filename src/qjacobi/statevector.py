@@ -184,22 +184,30 @@ class SparseOperator:
 _COMPILE_BLOCK = 1 << 14  # (term, column) pairs a compile forms at once
 
 
-def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
-    """The COO form of ``op`` restricted to the columns ``dets`` (uint64).
-
-    Leaving out a column drops only entries that multiply a zero amplitude, so
-    a state supported on ``dets`` gets the same value as over all columns.
-    Blocks of terms go through ``term_action``; entries keep term, then column order.
-    """
-    step = max(1, _COMPILE_BLOCK // max(1, dets.size))
-    parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
+def term_entries(op: FermionOperator, dets: np.ndarray):
+    """The entries of ``op`` in the columns ``dets`` (uint64), by blocks of
+    terms through ``term_action``: per block, the rows as uint64 determinants,
+    the columns as positions in ``dets`` and the values, in term, then column
+    order."""
+    step = max(1, _COMPILE_BLOCK // dets.size)
     for lo in range(0, op.coeffs.size, step):
         cre, ann = (a[lo:lo + step, None] for a in (op.cre, op.ann))
         hit, target, odd = term_action(cre, ann, dets)
         term, col = np.nonzero(hit)
         c = op.coeffs[lo + term]
-        parts.append((target[hit].astype(np.int32), dets[col].astype(np.int32),
-                      np.where(odd[hit], -c, c)))
+        yield target[hit], col, np.where(odd[hit], -c, c)
+
+
+def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
+    """The COO form of ``op`` restricted to the columns ``dets`` (uint64), with
+    int32 register positions.
+
+    Leaving out a column drops only entries that multiply a zero amplitude, so
+    a state supported on ``dets`` gets the same value as over all columns.
+    """
+    parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
+    for rows, col, vals in term_entries(op, dets):
+        parts.append((rows.astype(np.int32), dets[col].astype(np.int32), vals))
     return SparseOperator(*map(np.concatenate, zip(*parts)), op.constant)
 
 

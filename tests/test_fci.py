@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qjacobi.fci import (DeterminantBasis, enumerate_determinants, fci_ground_state, fci_matrix,
                          ground_state)
+from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
+from qjacobi.hamiltonian import MolecularProblem, build_hamiltonian
 from support import dense_matrix, embed_in_full_space, hf_energy
 
 
@@ -47,9 +51,23 @@ def test_ground_state_offdiagonal():
     assert v[np.argmax(np.abs(v))].real > 0
 
 
-def test_empty_sector_rejected(h2):
-    with pytest.raises(ValueError):
+def test_sz_beyond_electron_count_rejected(h2):
+    with pytest.raises(ValueError, match="sz incompatible"):
         fci_ground_state(h2, sz=3.0)
+
+
+def test_empty_sector_rejected():
+    # two alpha electrons in one spatial orbital
+    problem = MolecularProblem(FermionOperator(), n_qubits=2, n_electrons=2,
+                               core_energy=0.0, hf_determinant=0b11)
+    with pytest.raises(ValueError, match="no determinant of 2 electrons at sz=1.0"):
+        fci_ground_state(problem, sz=1.0)
+
+
+@pytest.mark.parametrize("dets", [(0b10, 0b01), (0b01, 0b01)])
+def test_unordered_basis_rejected(dets):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        DeterminantBasis(dets)
 
 
 def test_non_hermitian_rejected():
@@ -107,3 +125,25 @@ class TestCompiledMatrix:
         assert np.array_equal(fci_matrix(op, DeterminantBasis((0b01,))), [[3.0]])
         full = DeterminantBasis((0b01, 0b10))
         assert np.array_equal(fci_matrix(op, full), dense_matrix(op, 2, full).real)
+
+    @pytest.mark.parametrize("n_spatial, sz", [(16, 0.0), (20, 0.0), (32, -1.0)])
+    def test_determinants_past_bit_31(self, n_spatial, sz):
+        # two electrons over the first and last two orbitals of 16, 20 or 32:
+        # the basis holds determinants at bit 31 and above, up to bit 63
+        rng = np.random.default_rng(n_spatial)
+        orbitals = (1, 2, n_spatial - 1, n_spatial)
+        data = FCIDumpData(n_spatial=n_spatial, n_electrons=2, ms2=round(2 * sz), core_energy=0.7)
+        for p in range(1, n_spatial + 1):
+            data.one_body[(p, p)] = -1.0 + 0.01 * p
+        for p, q in itertools.product(orbitals, repeat=2):
+            data.one_body[_canonical_one(p, q)] = rng.uniform(-1, 1)
+        for key in itertools.product(orbitals, repeat=4):
+            data.two_body[_canonical_two(*key)] = rng.uniform(-0.5, 0.5)
+        problem = build_hamiltonian(data)
+        basis = DeterminantBasis.build(problem.n_qubits, 2, sz)
+        assert max(basis.determinants).bit_length() == 2 * n_spatial
+        oracle = dense_matrix(problem.hamiltonian, problem.n_qubits, basis)
+        assert np.array_equal(fci_matrix(problem.hamiltonian, basis), oracle.real)
+        assert not np.any(oracle.imag)
+        energy = fci_ground_state(problem, sz)[0]
+        assert abs(energy - np.linalg.eigvalsh(oracle.real)[0]) < 1e-12
