@@ -1,9 +1,9 @@
 """Brute-force ground truth: determinant bases, the FCI matrix, exact eigensolve.
 
-The FCI matrix holds the Hamiltonian's entries on the basis from
-``statevector.term_entries``, whose entries and signs come from
-``fermion.term_action``, the kernel behind the residual and the device.  It
-is real, so it is built and diagonalised in float64.
+The FCI matrix holds the Hamiltonian compiled over the basis by
+``statevector.compile_operator``, the compile the device measures with, whose
+entries and signs come from ``fermion.term_action``, the kernel behind the
+residual.  It is real, so it is built and diagonalised in float64.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .hamiltonian import MolecularProblem
-from .statevector import term_entries
+from .statevector import compile_operator
 
 _HERM_TOL = 1e-10
 
@@ -78,17 +78,13 @@ def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 def fci_matrix(op, basis: DeterminantBasis) -> np.ndarray:
     """<nu| op |mu> over ``basis`` in float64, from the FermionOperator ``op``.
 
-    The constant goes on the diagonal first, then the entries add in term
-    order, as ``FermionOperator.act`` sums them; entries whose row lies
-    outside the basis are dropped (the sector projection).  Rows are found by
-    bisection, hence the ascending basis.
+    The constant goes on the diagonal first, then the compiled entries add in
+    term order, as ``FermionOperator.act`` sums them; entries whose row lies
+    outside the basis are dropped (the sector projection).
     """
-    dets = np.array(basis.determinants, dtype=np.uint64)
-    matrix = np.diag(np.full(dets.size, op.constant))
-    for rows, cols, vals in term_entries(op, dets):
-        pos = np.searchsorted(dets, rows)
-        inside = dets[np.minimum(pos, dets.size - 1)] == rows
-        np.add.at(matrix, (pos[inside], cols[inside]), vals[inside])
+    sparse = compile_operator(op, np.array(basis.determinants, dtype=np.uint64))
+    matrix = np.diag(np.full(len(basis.determinants), sparse.constant))
+    np.add.at(matrix, (sparse.rows, sparse.cols), sparse.vals)
     return matrix
 
 

@@ -71,19 +71,13 @@ def _tokens(line: str) -> list[str]:
 
 
 def parse_fcidump(source) -> FCIDumpData:
-    """Parse FCIDUMP text from a string, path-like or file object.
+    """Parse FCIDUMP text from a string or a file object.
 
     Raises FCIDumpError with a line number for malformed or inconsistent
     headers, non-numeric or non-finite fields, out-of-range indices or
     symmetry-conflicting duplicates.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if "\n" not in text and not text.lstrip().startswith("&"):
-            with open(text, "r", encoding="ascii") as fh:
-                text = fh.read()
+    text = source.read() if hasattr(source, "read") else source
     lines = text.splitlines()
 
     header_parts: list[str] = []

@@ -226,8 +226,13 @@ class FermionOperator:
         return out
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        terms = self.terms
-        return not any(abs(c - terms.get(conjugate_key(k), 0.0)) > tol for k, c in terms.items())
+        """Whether every coefficient is within ``tol`` of its conjugate key's
+        (0 when absent): each key's sum of +coeffs and, under the swapped
+        masks, -coeffs, merged in one pass."""
+        _, diffs = _merge_first_seen((np.concatenate((self.cre, self.ann)),
+                                      np.concatenate((self.ann, self.cre))),
+                                     np.concatenate((self.coeffs, -self.coeffs)))
+        return not np.any(np.abs(diffs) > tol)
 
     def act(self, det: int) -> dict[int, float]:
         """Sparse action on one determinant: {det': <det'|op|det>}.

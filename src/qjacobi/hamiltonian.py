@@ -25,7 +25,6 @@ class MolecularProblem:
     hamiltonian: FermionOperator
     n_qubits: int
     n_electrons: int
-    core_energy: float
     hf_determinant: int
 
 
@@ -85,6 +84,5 @@ def build_hamiltonian(data: FCIDumpData) -> MolecularProblem:
         hamiltonian=h,
         n_qubits=2 * n,
         n_electrons=data.n_electrons,
-        core_energy=data.core_energy,
         hf_determinant=hf_determinant_bits(data.n_electrons, data.ms2),
     )

@@ -5,19 +5,21 @@ applied natively in the determinant basis through the nilpotent closed form
 e^{theta A} = 1 + sin(theta) A + (1 - cos(theta)) A^2; Pauli rotations through
 e^{i theta P} = cos(theta) - sin(theta) P', where P = i P' for a generator's
 X-string with one Y and P' is a real signed permutation.  Every rotation is
-real, so circuits replay in float64; a state turns complex only when it is
-scattered to the full register to be measured.
+real, so circuits replay in float64.
 
 Each fermionic generator or Pauli string acts through a determinant map
 computed once and cached.  Fermionic circuits never leave the reference's
 particle-number sector (70 of 256 amplitudes on H4, 924 of 4,096 on H6), so a
 backend for them replays states there.  A backend compiles its fermionic
-Hamiltonian once into term-ordered sparse arrays for exact values, or its
-Jordan-Wigner image into per-string gather tables in draw order for sampled
-ones.  Fermionic maps and the compiled Hamiltonian take their entries and
-signs from ``fermion.term_action``, the kernel behind ``FermionOperator.act``.
-All of them keep the floating-point operations of the term-by-term action, so
-every value is bit-identical to it.
+Hamiltonian once into term-ordered sparse arrays over the determinants it
+replays, for exact values, or its Jordan-Wigner image into per-string gather
+tables in draw order for sampled ones.  An exact value is one exactly rounded
+sum over the float64 replay, so no BLAS kernel and no summation order reaches
+it; a sampled one scatters the replay to the complex full register first.
+Fermionic maps and the compiled Hamiltonian take their entries and signs from
+``fermion.term_action``, the kernel behind ``FermionOperator.act``, and keep
+the floating-point operations of the term-by-term action, so every amplitude
+of H|s> is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -66,14 +68,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-def prepare_determinant(n_qubits: int, det: int) -> np.ndarray:
-    if det < 0 or det >= 1 << n_qubits:
-        raise ValueError("determinant outside the qubit register")
-    state = np.zeros(1 << n_qubits, dtype=complex)
-    state[det] = 1.0
-    return state
 
 
 # Determinant maps index the register with int32.
@@ -160,18 +154,20 @@ def _pauli_phase(key) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """An operator as term-ordered COO entries plus a constant.
+    """An operator as term-ordered COO entries over a list of determinants,
+    plus a constant.
 
-    Entry i adds ``vals[i] * state[cols[i]]`` to row ``rows[i]``.  Entries are
-    concatenated in term order and a term hits each row at most once, so every
-    row sums its contributions in the same order as applying one term after
-    another: the result is bit-identical to the term-wise action.
+    Entry i adds ``vals[i] * state[cols[i]]`` to row ``rows[i]``, both
+    positions in that list.  Entries are concatenated in term order and a term
+    hits each row at most once, so every row sums its contributions in the
+    same order as applying one term after another: the result is
+    bit-identical to the term-wise action.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    constant: complex
+    constant: float
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(state)
@@ -184,30 +180,27 @@ class SparseOperator:
 _COMPILE_BLOCK = 1 << 14  # (term, column) pairs a compile forms at once
 
 
-def term_entries(op: FermionOperator, dets: np.ndarray):
-    """The entries of ``op`` in the columns ``dets`` (uint64), by blocks of
-    terms through ``term_action``: per block, the rows as uint64 determinants,
-    the columns as positions in ``dets`` and the values, in term, then column
-    order."""
+def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
+    """The COO form of ``op`` on the ascending uint64 determinants ``dets``,
+    rows and columns as int32 positions in ``dets``.
+
+    Entries come by blocks of terms through ``term_action``, in term, then
+    column order.  Rows are found by bisection; an entry whose row lies
+    outside ``dets`` is dropped (the projection onto their span), which
+    leaves <s|op|s> unchanged for a state supported on ``dets``.
+    """
     step = max(1, _COMPILE_BLOCK // dets.size)
+    parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
     for lo in range(0, op.coeffs.size, step):
         cre, ann = (a[lo:lo + step, None] for a in (op.cre, op.ann))
         hit, target, odd = term_action(cre, ann, dets)
         term, col = np.nonzero(hit)
-        c = op.coeffs[lo + term]
-        yield target[hit], col, np.where(odd[hit], -c, c)
-
-
-def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
-    """The COO form of ``op`` restricted to the columns ``dets`` (uint64), with
-    int32 register positions.
-
-    Leaving out a column drops only entries that multiply a zero amplitude, so
-    a state supported on ``dets`` gets the same value as over all columns.
-    """
-    parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
-    for rows, col, vals in term_entries(op, dets):
-        parts.append((rows.astype(np.int32), dets[col].astype(np.int32), vals))
+        target = target[hit]
+        row = np.searchsorted(dets, target)
+        inside = dets[np.minimum(row, dets.size - 1)] == target
+        c = op.coeffs[lo + term[inside]]
+        parts.append((row[inside].astype(np.int32), col[inside].astype(np.int32),
+                      np.where(odd[hit][inside], -c, c)))
     return SparseOperator(*map(np.concatenate, zip(*parts)), op.constant)
 
 
@@ -290,18 +283,12 @@ def apply_circuit(state: np.ndarray, circuit: Circuit,
     return state
 
 
-def expectation_exact(op, state: np.ndarray) -> float:
-    """<s|H|s>; the imaginary residue must stay below 1e-10.
-
-    ``op`` is a SparseOperator or a FermionOperator, compiled here over the
-    full register.
-    """
-    if not isinstance(op, SparseOperator):
-        op = compile_operator(op, _register(state.shape[0]))
-    val = complex(np.vdot(state, op.apply(state)))
-    if abs(val.imag) > _IMAG_TOL:
-        raise FloatingPointError(f"expectation has imaginary residue {val.imag!r}")
-    return val.real
+def expectation_exact(op: SparseOperator, state: np.ndarray) -> float:
+    """<s|H|s> for a real ``state`` listing the amplitudes of the
+    determinants ``op`` was compiled over: one exactly rounded sum
+    (``math.fsum``), so its value does not depend on the summation order or
+    on which zero amplitudes the state lists."""
+    return math.fsum((state * op.apply(state)).tolist())
 
 
 # Amplitudes of P.state formed at once by a sampled expectation value: the
@@ -354,22 +341,18 @@ def compile_sampled(op: PauliOperator, dim: int) -> SampledOperator:
                            constant)
 
 
-def expectation_sampled(op, state: np.ndarray, shots_per_term: int, rng) -> float:
-    """Per-term two-point sampling of <s|H|s>.
+def expectation_sampled(op: SampledOperator, state: np.ndarray, shots_per_term: int,
+                        rng: np.random.Generator) -> float:
+    """Per-term two-point sampling of <s|H|s> on the full register.
 
     Every non-identity string contributes the mean of ``shots_per_term``
     independent +-1 outcomes drawn with the exact probabilities; identity
     terms are added exactly.  The simulated budget is shots_per_term x term
-    count.  ``op`` is a PauliOperator or its ``compile_sampled`` form.  The
-    draws come from one binomial call over the strings in draw order, and the
-    total adds the contributions one by one in that order.
+    count.  The draws come from one binomial call over the strings in draw
+    order, and the total adds the contributions one by one in that order.
     """
     if shots_per_term < 1:
         raise ValueError("shots_per_term must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    if not isinstance(op, SampledOperator):
-        op = compile_sampled(op, state.shape[0])
     half = 0.5 * (1.0 + op.means(state))
     # min(1, max(0, half)) as Python evaluates it, NaN going to 0
     p_up = np.where(half > 0.0, half, 0.0)
@@ -384,34 +367,40 @@ def expectation_sampled(op, state: np.ndarray, shots_per_term: int, rng) -> floa
 class StatevectorBackend:
     """One run's simulated device: reference prep, circuit, measurement.
 
-    With ``shots_per_term`` unset, expectation values are exact; otherwise
-    they are sampled per Pauli term of the Jordan-Wigner mapped Hamiltonian,
-    drawing from the backend's explicit RNG stream.  Counters keep the
-    expectation-value and shot tallies for the run trace.
+    With ``shots_per_term`` unset, expectation values are exact and ``rng``
+    may be None; otherwise they are sampled per Pauli term of the
+    Jordan-Wigner mapped Hamiltonian, drawing from the Generator ``rng``.
+    Counters keep the expectation-value and shot tallies for the run trace.
 
-    A ``fermionic`` backend takes circuits of fermionic steps only.  It
-    replays them on the reference's particle-number sector and scatters each
-    state back to the full register to measure it; its exact Hamiltonian is
-    compiled over the sector's columns, whose entries are all that reach the
-    full-register value.  Other backends work on the full register.
+    A ``fermionic`` backend takes circuits of fermionic steps only and
+    replays them on the reference's particle-number sector; other backends
+    replay on the full register.  The exact Hamiltonian is compiled over the
+    determinants of the replay and measured on it directly; a sampled value
+    and ``state`` scatter the replay to the complex full register.
     """
 
     def __init__(self, n_qubits: int, reference: int, hamiltonian: FermionOperator,
-                 shots_per_term: int | None = None, rng=None, fermionic: bool = False):
+                 shots_per_term: int | None = None, rng: np.random.Generator | None = None,
+                 fermionic: bool = False):
         if n_qubits >= _MAX_QUBITS:
             raise ValueError(f"a register of {n_qubits} qubits exceeds the "
                              f"simulator's limit of {_MAX_QUBITS - 1}")
+        if not 0 <= reference < 1 << n_qubits:
+            raise ValueError("reference determinant outside the qubit register")
+        if shots_per_term is not None and rng is None:
+            raise ValueError("a sampled backend needs a random Generator")
         self.n_qubits = n_qubits
         self.reference = reference
         self.hamiltonian = hamiltonian
         self.shots_per_term = shots_per_term
-        self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self.rng = rng
         self.expectation_count = 0
         self.shots_used = 0
         self._pauli_h: PauliOperator | None = None
         self._strings: SampledOperator | None = None
         self._sector = Sector(n_qubits, reference.bit_count()) if fermionic else None
         self._dets = _sector_dets(self._sector or Sector(n_qubits))
+        self._start, = _read_only((self._dets == reference).astype(np.float64))
         self._exact_h: SparseOperator | None = None
 
     def pauli_hamiltonian(self) -> PauliOperator:
@@ -424,23 +413,26 @@ class StatevectorBackend:
             self._exact_h = compile_operator(self.hamiltonian, self._dets)
         return self._exact_h
 
-    def state(self, circuit: Circuit, extra_step: GivensStep | None = None) -> np.ndarray:
-        """U(k) [extra] |Phi0> on the full register, the extra candidate
-        rotation acting first.  The replay is real; the result is complex."""
-        state = prepare_determinant(self.n_qubits, self.reference).real[self._dets]
+    def _replay(self, circuit: Circuit, extra_step: GivensStep | None) -> np.ndarray:
+        """U(k) [extra] |Phi0> in float64 on the replayed determinants, the
+        extra candidate rotation acting first."""
+        state = self._start
         if extra_step is not None:
             state = apply_step(state, extra_step, self._sector)
-        state = apply_circuit(state, circuit, self._sector)
+        return apply_circuit(state, circuit, self._sector)
+
+    def state(self, circuit: Circuit, extra_step: GivensStep | None = None) -> np.ndarray:
+        """The replay scattered to the complex full register."""
         full = np.zeros(1 << self.n_qubits, dtype=complex)
-        full[self._dets] = state
+        full[self._dets] = self._replay(circuit, extra_step)
         return full
 
     def expectation(self, circuit: Circuit, extra_step: GivensStep | None = None) -> float:
-        state = self.state(circuit, extra_step)
         self.expectation_count += 1
         if self.shots_per_term is None:
-            return expectation_exact(self.exact_hamiltonian(), state)
+            return expectation_exact(self.exact_hamiltonian(), self._replay(circuit, extra_step))
         if self._strings is None:
             self._strings = compile_sampled(self.pauli_hamiltonian(), 1 << self.n_qubits)
         self.shots_used += self.shots_per_term * self.pauli_hamiltonian().term_count()
-        return expectation_sampled(self._strings, state, self.shots_per_term, self.rng)
+        return expectation_sampled(self._strings, self.state(circuit, extra_step),
+                                   self.shots_per_term, self.rng)

@@ -9,18 +9,23 @@ comparisons.  ``dense_matrix`` fills a complex matrix one ``act`` at a time,
 the oracle for the compiled FCI matrix.  ``apply_key_to_det``
 acts one operator at a time on a determinant, ``hf_energy`` sums the
 integrals of the occupied orbitals, and the device oracles apply one
-excitation at a time over the full register.  The fermionic device oracles
+excitation at a time over the full register.  The device conveniences
+(``prepare_determinant``, ``expectation_exact``, ``expectation_sampled``)
+measure full-register states, real or complex, through the compiled kernels.  The fermionic device oracles
 are built on ``apply_key_to_det`` and share no code with
 ``fermion.term_action``, the kernel they check; the Pauli one keeps the
 complex step that the real replay replaced.
 """
 
+import hashlib
 import math
+import pathlib
 from functools import lru_cache
 
 import numpy as np
 
-from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two
+from qjacobi import statevector
+from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two, parse_fcidump
 from qjacobi.fermion import (ZERO_FLOOR, FermionOperator, _reorder, conjugate_key, key_support,
                              term_product)
 
@@ -100,6 +105,12 @@ def generator_operator(gen):
     """The anti-Hermitian A = E - E+ of a FermionGenerator as an operator."""
     return FermionOperator({gen.excitation: float(gen.sign),
                             conjugate_key(gen.excitation): -float(gen.sign)})
+
+
+def is_hermitian_loop(op, tol=1e-10):
+    """``FermionOperator.is_hermitian`` as a dict loop over the terms."""
+    terms = op.terms
+    return not any(abs(c - terms.get(conjugate_key(k), 0.0)) > tol for k, c in terms.items())
 
 
 def max_rank(op):
@@ -361,8 +372,32 @@ def act_loop(op, det):
 
 
 # ---------------------------------------------------------------------------
-# Device oracles
+# Device conveniences and oracles
 # ---------------------------------------------------------------------------
+
+def prepare_determinant(n_qubits, det):
+    """|det> as a complex statevector over the full register."""
+    if det < 0 or det >= 1 << n_qubits:
+        raise ValueError("determinant outside the qubit register")
+    state = np.zeros(1 << n_qubits, dtype=complex)
+    state[det] = 1.0
+    return state
+
+
+def expectation_exact(op, state):
+    """<s|op|s> of a real symmetric FermionOperator on a full-register state,
+    real or complex: compiled over the register, with the real and the
+    imaginary part measured apart (their cross terms cancel)."""
+    sparse = statevector.compile_operator(op, np.arange(state.size, dtype=np.uint64))
+    return sum(statevector.expectation_exact(sparse, part) for part in (state.real, state.imag))
+
+
+def expectation_sampled(op, state, shots_per_term, rng):
+    """The sampled estimator for a PauliOperator, compiled on the state's
+    register, with a seed or a Generator."""
+    return statevector.expectation_sampled(statevector.compile_sampled(op, state.size), state,
+                                           shots_per_term, np.random.default_rng(rng))
+
 
 @lru_cache(maxsize=2048)
 def excitation_map(key, dim):
@@ -414,3 +449,24 @@ def pauli_rotation_loop(state, gen, theta):
     factor = np.where(np.bitwise_count(src & z) & 1, -1, 1)
     turn = 1j * math.sin(theta) * (1j) ** ((x & z).bit_count() & 3)
     return math.cos(theta) * state + turn * (factor * state[src])
+
+
+# ---------------------------------------------------------------------------
+# Runs
+# ---------------------------------------------------------------------------
+
+# Short exact runs: the first 20 cycles of the H4 cfqj sweep at seed 0 and an
+# exact Pauli run
+EXACT_RUNS = (dict(method="cfqj", epsilon=1e-4, kappa=1e-3, max_cycles=20, rng_seed=0,
+                   energy_floor=0.0),
+              dict(method="exact-bch-pauli", max_cycles=10))
+
+
+def exact_trace_digests(fcidump_path):
+    """The sha256 of each EXACT_RUNS trace on an FCIDUMP file, in order."""
+    from qjacobi.hamiltonian import build_hamiltonian
+    from qjacobi.jacobi import RunConfig, run_quantum_jacobi
+
+    problem = build_hamiltonian(parse_fcidump(pathlib.Path(fcidump_path).read_text()))
+    return [hashlib.sha256(run_quantum_jacobi(problem, RunConfig(**cfg)).to_jsonl()
+                           .encode("ascii")).hexdigest() for cfg in EXACT_RUNS]

@@ -23,10 +23,9 @@ from qjacobi.jacobi import (EffectiveBlock, RunConfig, diagonal_element,
 from qjacobi.jordan_wigner import jordan_wigner
 from qjacobi.pauli import PauliGenerator, PauliOperator, bch_transform_pauli
 from qjacobi.statevector import (Circuit, GivensStep, apply_circuit,
-                                 apply_fermionic_rotation, apply_step,
-                                 expectation_exact, expectation_sampled,
-                                 prepare_determinant)
-from support import dense_matrix, fidelity, generator_operator, normal_op
+                                 apply_fermionic_rotation, apply_step)
+from support import (dense_matrix, expectation_exact, expectation_sampled, fidelity,
+                     generator_operator, normal_op, prepare_determinant)
 
 
 @contextmanager

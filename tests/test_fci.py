@@ -8,7 +8,7 @@ from qjacobi.fci import (DeterminantBasis, enumerate_determinants, fci_ground_st
 from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
 from qjacobi.hamiltonian import MolecularProblem, build_hamiltonian
-from support import dense_matrix, embed_in_full_space, hf_energy
+from support import dense_matrix, embed_in_full_space, expectation_exact, hf_energy
 
 
 def test_enumeration_counts():
@@ -58,8 +58,7 @@ def test_sz_beyond_electron_count_rejected(h2):
 
 def test_empty_sector_rejected():
     # two alpha electrons in one spatial orbital
-    problem = MolecularProblem(FermionOperator(), n_qubits=2, n_electrons=2,
-                               core_energy=0.0, hf_determinant=0b11)
+    problem = MolecularProblem(FermionOperator(), n_qubits=2, n_electrons=2, hf_determinant=0b11)
     with pytest.raises(ValueError, match="no determinant of 2 electrons at sz=1.0"):
         fci_ground_state(problem, sz=1.0)
 
@@ -91,7 +90,6 @@ def test_spectrum_invariant_under_bch(h2):
 def test_embedding(h2, h2_fci):
     energy, vec, basis = h2_fci
     full = embed_in_full_space(vec, basis, h2.n_qubits)
-    from qjacobi.statevector import expectation_exact
     assert abs(expectation_exact(h2.hamiltonian, full) - energy) < 1e-10
 
 

@@ -67,6 +67,13 @@ def test_missing_header_rejected():
         parse_fcidump("1.0 1 1 0 0\n")
 
 
+@pytest.mark.parametrize("text", ["1.0 1 1 0 0", ""])
+def test_one_line_text_is_parsed_not_opened(text):
+    # text is never read as a file name
+    with pytest.raises(FCIDumpError, match="line 1"):
+        parse_fcidump(text)
+
+
 def test_nonnumeric_field_reports_line():
     text = "&FCI NORB=2,NELEC=2,MS2=0,&END\n oops 1 1 0 0\n"
     with pytest.raises(FCIDumpError, match="line 2"):

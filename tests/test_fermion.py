@@ -16,8 +16,9 @@ from qjacobi.fermion import (FermionGenerator, FermionOperator, _pattern_table, 
 from qjacobi.jacobi import (RunConfig, classical_residual, generator_from_determinant,
                             run_quantum_jacobi, select_deterministic, truncate)
 from support import (act_loop, apply_key_to_det, bch_loop, classify_indices, commutator,
-                     cumulant_loop, dense_matrix, excitation_rank, generator_operator, max_rank, multiply,
-                     normal_op, plus, scaled, truncate_loop, wick_structure)
+                     cumulant_loop, dense_matrix, excitation_rank, generator_operator,
+                     is_hermitian_loop, max_rank, multiply, normal_op, plus, scaled,
+                     truncate_loop, wick_structure)
 
 
 def op_from_terms(*pairs, constant=0.0):
@@ -470,6 +471,28 @@ def fermion_cases(draw):
     return n, op, gen
 
 
+@st.composite
+def near_hermitian_operators(draw):
+    """A Hermitian operator on <= 8 modes, left as it is, with one term's
+    conjugate missing, or with one coefficient moved by about the tolerance."""
+    n = draw(st.integers(1, 8))
+    modes = st.integers(0, n - 1)
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        rank = draw(st.integers(1, min(3, n)))
+        cre, ann = (tuple(sorted(draw(st.lists(modes, min_size=rank, max_size=rank, unique=True))))
+                    for _ in range(2))
+        terms[(cre, ann)] = terms[(ann, cre)] = draw(_COEFFS)
+    if terms:
+        key = draw(st.sampled_from(sorted(terms)))
+        change = draw(st.sampled_from(["none", "drop", "shift"]))
+        if change == "drop":
+            del terms[key]
+        elif change == "shift":
+            terms[key] += draw(st.sampled_from([1e-9, -1e-9, 1e-10, 1e-11]))
+    return FermionOperator(terms)
+
+
 def assert_same_terms(op, expected):
     terms, constant = expected
     assert list(op.terms.items()) == list(terms.items())
@@ -506,6 +529,17 @@ class TestArrayPassesMatchLoops:
         n, op, gen = case
         det &= (1 << n) - 1
         assert list(op.act(det).items()) == list(act_loop(op, det).items())
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(near_hermitian_operators(), st.sampled_from([1e-10, 1e-12, 1e-8]))
+    def test_is_hermitian(self, op, tol):
+        assert op.is_hermitian(tol) == is_hermitian_loop(op, tol)
+
+    def test_is_hermitian_on_missing_conjugate_and_mismatch(self, h2):
+        assert h2.hamiltonian.is_hermitian(1e-12)
+        assert not FermionOperator({((1,), (0,)): 0.5}).is_hermitian()
+        assert not FermionOperator({((1,), (0,)): 0.5, ((0,), (1,)): 0.5 + 1e-9}).is_hermitian()
+        assert FermionOperator({((0,), (0,)): 0.5}).is_hermitian()
 
     def test_h4_cycles(self, h4):
         # the passes of a cfqj cycle on real operators, chained for six cycles

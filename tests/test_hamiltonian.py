@@ -10,9 +10,9 @@ from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two
 from qjacobi.fermion import FermionOperator
 from qjacobi.hamiltonian import build_hamiltonian
 from qjacobi.jacobi import diagonal_element
-from qjacobi.statevector import expectation_exact, prepare_determinant
 from qjacobi.pauli import ZERO_FLOOR
-from support import build_hamiltonian_loop, commutator, dense_matrix, hf_energy
+from support import (build_hamiltonian_loop, commutator, dense_matrix, expectation_exact,
+                     hf_energy, prepare_determinant)
 
 # exact zeros, values at and just above ZERO_FLOOR (a two-body piece halves
 # its value), and ordinary magnitudes

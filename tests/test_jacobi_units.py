@@ -15,9 +15,8 @@ from qjacobi.jacobi import (EffectiveBlock, ResidualVector, RunConfig,
                             transform_hamiltonian, truncate)
 from qjacobi.jordan_wigner import jordan_wigner
 from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
-from qjacobi.statevector import (Circuit, GivensStep, StatevectorBackend,
-                                 apply_circuit, apply_step, prepare_determinant)
-from support import apply_excitation, dense_matrix, fidelity, hf_energy
+from qjacobi.statevector import Circuit, GivensStep, StatevectorBackend, apply_circuit, apply_step
+from support import apply_excitation, dense_matrix, fidelity, hf_energy, prepare_determinant
 
 
 class TestClassicalResidual:

@@ -1,15 +1,19 @@
 import hashlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qjacobi
 from qjacobi import jacobi, statevector
 from qjacobi.cli import main
 from qjacobi.jacobi import QJRunError, RunConfig, run_quantum_jacobi
-from qjacobi.statevector import (Sector, StatevectorBackend, apply_circuit, expectation_exact,
-                                 prepare_determinant)
-from support import embed_in_full_space, fidelity, hf_energy
+from qjacobi.statevector import Sector, StatevectorBackend, apply_circuit
+from support import (embed_in_full_space, exact_trace_digests, expectation_exact, fidelity,
+                     hf_energy, prepare_determinant)
 
 
 def energies(trace):
@@ -161,6 +165,26 @@ class TestDeterminism:
                 method="pqj", epsilon=1e-4, max_cycles=300, shots_per_term=1000,
                 rng_seed=seed, merge_threshold=1e-2))
             assert hashlib.sha256(trace.to_jsonl().encode("ascii")).hexdigest() == digest
+
+
+class TestBlasKernels:
+    def test_exact_traces_independent_of_openblas_kernel(self):
+        # exact values take no BLAS call, so a process whose OpenBLAS runs
+        # another kernel (OPENBLAS_CORETYPE acts on one process) writes the
+        # same traces
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "h4_linear_1.5.fcidump"
+        path = [str(pathlib.Path(qjacobi.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
+        path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        code = "import sys, support; print(*support.exact_trace_digests(sys.argv[1]))"
+        procs = {core: subprocess.Popen(
+            [sys.executable, "-c", code, str(fixture)], stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_CORETYPE=core))
+            for core in ("Prescott", "Sandybridge")}
+        expected = exact_trace_digests(fixture)
+        for core, proc in procs.items():
+            out, _ = proc.communicate(timeout=120)
+            assert proc.returncode == 0, core
+            assert out.split() == expected, core
 
 
 class TestShotNoise:

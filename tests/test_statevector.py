@@ -17,10 +17,10 @@ from qjacobi.jordan_wigner import jordan_wigner
 from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, Sector, StatevectorBackend,
                                  apply_circuit, apply_fermionic_rotation, apply_pauli_rotation,
-                                 compile_operator, compile_sampled, expectation_exact,
-                                 expectation_sampled, prepare_determinant)
-from support import (apply_excitation, dense_matrix, embed_in_full_space, fermionic_rotation_loop,
-                     fidelity, generator_operator, hf_energy, pauli_rotation_loop)
+                                 compile_operator, compile_sampled)
+from support import (apply_excitation, dense_matrix, embed_in_full_space, expectation_exact,
+                     expectation_sampled, fermionic_rotation_loop, fidelity, generator_operator,
+                     hf_energy, pauli_rotation_loop, prepare_determinant)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -43,7 +43,8 @@ def term_loop(op, state):
 
 
 def oracle_expectation(op, state):
-    return complex(np.vdot(state, term_loop(op, state))).real
+    """<s|H|s> over the term loop, as one exactly rounded sum."""
+    return math.fsum((state.conj() * term_loop(op, state)).real.tolist())
 
 
 def sampled_loop(op, state, shots_per_term, rng):
@@ -210,13 +211,6 @@ class TestSampled:
         val = expectation_sampled(op, s, shots_per_term=3, rng=7)
         assert val == 1.75
 
-    def test_sampling_order_draws_alike(self, h2):
-        hp = jordan_wigner(h2.hamiltonian)
-        s = apply_fermionic_rotation(prepare_determinant(h2.n_qubits, h2.hf_determinant),
-                                     FermionGenerator.from_determinants(0b0011, 0b1100), 0.4)
-        assert (expectation_sampled(hp, s, 500, rng=5)
-                == expectation_sampled(compile_sampled(hp, s.size), s, 500, rng=5))
-
     def test_seed_reproducible(self, h2):
         hp = jordan_wigner(h2.hamiltonian)
         s = prepare_determinant(h2.n_qubits, h2.hf_determinant)
@@ -284,7 +278,7 @@ class TestSampledMatchesLoop:
         table = compile_sampled(op, state.size)
         assert sorted(0.5 * (1.0 + table.means(state))) == [0.0, 0.5, 1.0]
         for _ in range(5):
-            assert (expectation_sampled(table, state, 100, rng)
+            assert (statevector.expectation_sampled(table, state, 100, rng)
                     == sampled_loop(op, state, 100, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -292,7 +286,7 @@ class TestSampledMatchesLoop:
         hp = jordan_wigner(h4.hamiltonian)
         circuit = _circuit(h4, PauliGenerator)
         backend = StatevectorBackend(h4.n_qubits, h4.hf_determinant, h4.hamiltonian,
-                                     shots_per_term=1000, rng=11)
+                                     shots_per_term=1000, rng=np.random.default_rng(11))
         oracle_rng = np.random.default_rng(11)
         for steps in range(len(circuit) + 1):
             part = Circuit(circuit.steps[:steps])
@@ -343,9 +337,29 @@ class TestBackend:
         with pytest.raises(ValueError, match="32 qubits"):
             StatevectorBackend(32, 0b11, FermionOperator())
 
+    @pytest.mark.parametrize("reference", [-1, 1 << 4])
+    def test_reference_outside_register(self, reference):
+        with pytest.raises(ValueError, match="outside the qubit register"):
+            StatevectorBackend(4, reference, FermionOperator())
+
+    def test_sampled_backend_needs_generator(self, h2):
+        with pytest.raises(ValueError, match="Generator"):
+            StatevectorBackend(h2.n_qubits, h2.hf_determinant, h2.hamiltonian, shots_per_term=10)
+
+    def test_exact_value_measures_the_replay(self, h4):
+        # the float64 replay on the sector, not a complex full-register copy
+        backend = StatevectorBackend(h4.n_qubits, h4.hf_determinant, h4.hamiltonian,
+                                     fermionic=True)
+        circuit = _circuit(h4, FermionGenerator)
+        replay = backend._replay(circuit, None)
+        assert replay.dtype == np.float64 and replay.size == 70
+        assert not backend._start.flags.writeable
+        assert backend.expectation(circuit) == statevector.expectation_exact(
+            backend.exact_hamiltonian(), replay)
+
     def test_shot_accounting(self, h2):
         backend = StatevectorBackend(h2.n_qubits, h2.hf_determinant, h2.hamiltonian,
-                                     shots_per_term=10, rng=0)
+                                     shots_per_term=10, rng=np.random.default_rng(0))
         backend.expectation(Circuit())
         n_terms = backend.pauli_hamiltonian().term_count()
         assert backend.shots_used == 10 * n_terms
@@ -470,11 +484,24 @@ class TestKernelProperties:
         n, op = n_op
         register = np.arange(1 << n, dtype=np.uint64)
         in_sector = np.bitwise_count(register) == n // 2
-        s = np.where(in_sector, _random_state(n, seed), 0.0)
-        s /= np.linalg.norm(s)
+        v = np.random.default_rng(seed).normal(size=np.count_nonzero(in_sector))
+        v /= np.linalg.norm(v)
+        s = np.zeros(1 << n)
+        s[in_sector] = v
         sparse = compile_operator(op, register[in_sector])
-        assert abs(expectation_exact(sparse, s)
+        assert abs(statevector.expectation_exact(sparse, v)
                    - np.vdot(s, dense_matrix(op, n) @ s).real) < 1e-12
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(hermitian_operators(), st.data())
+    def test_compile_on_any_subset_is_the_dense_block(self, n_op, data):
+        # rows outside the listed determinants are dropped: the projection
+        n, op = n_op
+        dets = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1)))
+        sparse = compile_operator(op, np.array(dets, dtype=np.uint64))
+        block = np.diag(np.full(len(dets), sparse.constant))
+        np.add.at(block, (sparse.rows, sparse.cols), sparse.vals)
+        assert np.array_equal(block, dense_matrix(op, n)[np.ix_(dets, dets)].real)
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), _keys(n))))
