@@ -82,8 +82,8 @@ def fci_matrix(op, basis: DeterminantBasis) -> np.ndarray:
     term order, as ``FermionOperator.act`` sums them; entries whose row lies
     outside the basis are dropped (the sector projection).
     """
+    matrix = np.diag(np.full(len(basis.determinants), op.constant))
     sparse = compile_operator(op, np.array(basis.determinants, dtype=np.uint64))
-    matrix = np.diag(np.full(len(basis.determinants), sparse.constant))
     np.add.at(matrix, (sparse.rows, sparse.cols), sparse.vals)
     return matrix
 

@@ -11,8 +11,9 @@ acts one operator at a time on a determinant, ``hf_energy`` sums the
 integrals of the occupied orbitals, and the device oracles apply one
 excitation at a time over the full register.  The device conveniences
 (``prepare_determinant``, ``expectation_exact``, ``expectation_sampled``)
-measure full-register states, real or complex, through the compiled kernels.  The fermionic device oracles
-are built on ``apply_key_to_det`` and share no code with
+measure full-register states, real or complex, through the compiled
+kernels.  The fermionic device oracles are built on ``apply_key_to_det``
+and share no code with
 ``fermion.term_action``, the kernel they check; the Pauli one keeps the
 complex step that the real replay replaced.
 """
@@ -28,6 +29,8 @@ from qjacobi import statevector
 from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two, parse_fcidump
 from qjacobi.fermion import (ZERO_FLOOR, FermionOperator, _reorder, conjugate_key, key_support,
                              term_product)
+from qjacobi.hamiltonian import build_hamiltonian
+from qjacobi.jacobi import RunConfig, run_quantum_jacobi
 
 IDENTITY_KEY = ((), ())
 
@@ -464,9 +467,6 @@ EXACT_RUNS = (dict(method="cfqj", epsilon=1e-4, kappa=1e-3, max_cycles=20, rng_s
 
 def exact_trace_digests(fcidump_path):
     """The sha256 of each EXACT_RUNS trace on an FCIDUMP file, in order."""
-    from qjacobi.hamiltonian import build_hamiltonian
-    from qjacobi.jacobi import RunConfig, run_quantum_jacobi
-
     problem = build_hamiltonian(parse_fcidump(pathlib.Path(fcidump_path).read_text()))
     return [hashlib.sha256(run_quantum_jacobi(problem, RunConfig(**cfg)).to_jsonl()
                            .encode("ascii")).hexdigest() for cfg in EXACT_RUNS]

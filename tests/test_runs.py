@@ -180,11 +180,16 @@ class TestBlasKernels:
             [sys.executable, "-c", code, str(fixture)], stdout=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_CORETYPE=core))
             for core in ("Prescott", "Sandybridge")}
-        expected = exact_trace_digests(fixture)
-        for core, proc in procs.items():
-            out, _ = proc.communicate(timeout=120)
-            assert proc.returncode == 0, core
-            assert out.split() == expected, core
+        try:
+            expected = exact_trace_digests(fixture)
+            for core, proc in procs.items():
+                out, _ = proc.communicate(timeout=120)
+                assert proc.returncode == 0, core
+                assert out.split() == expected, core
+        finally:
+            for proc in procs.values():
+                proc.kill()
+                proc.wait()
 
 
 class TestShotNoise:
