@@ -14,8 +14,11 @@ backend for them replays states there.  A backend compiles its fermionic
 Hamiltonian once into term-ordered sparse arrays over the determinants it
 replays, for exact values, or its Jordan-Wigner image into per-string gather
 tables in draw order for sampled ones.  An exact value is one exactly rounded
-sum over the float64 replay, so no BLAS kernel and no summation order reaches
-it; a sampled one scatters the replay to the complex full register first.
+sum over the float64 replay, so no summation order reaches it; a sampled one
+scatters the replay to the float64 full register and sums each string's
+products with numpy's pairwise sum, whose order numpy's C source fixes.
+Neither path holds a complex array or calls BLAS, so no BLAS kernel reaches
+a trace.
 Fermionic maps and the compiled Hamiltonian take their entries and signs from
 ``fermion.term_action``, the kernel behind ``FermionOperator.act``, and keep
 the floating-point operations of the term-by-term action, so every amplitude
@@ -147,11 +150,6 @@ def _pauli_map(key, dim: int):
     return _read_only(src.astype(np.int32), _pauli_parity(key[1], src))
 
 
-def _pauli_phase(key) -> complex:
-    x, z = key
-    return (1j) ** ((x & z).bit_count() & 3)
-
-
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
     """An operator as term-ordered COO entries over a list of determinants,
@@ -189,7 +187,7 @@ def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
     outside ``dets`` is dropped (the projection onto their span), which
     leaves <s|op|s> unchanged for a state supported on ``dets``.
     """
-    step = max(1, _COMPILE_BLOCK // dets.size)
+    step = max(1, _COMPILE_BLOCK // (dets.size or 1))
     parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
     for lo in range(0, op.coeffs.size, step):
         cre, ann = (a[lo:lo + step, None] for a in (op.cre, op.ann))
@@ -292,7 +290,7 @@ def expectation_exact(op: SparseOperator, state: np.ndarray) -> float:
 
 
 # Amplitudes of P.state formed at once by a sampled expectation value: the
-# block stays small, and caching every string's complex factors would not.
+# block stays small, and caching every string's products would not.
 _BLOCK_AMPLITUDES = 4096
 
 
@@ -301,28 +299,28 @@ class SampledOperator:
     """A Pauli operator compiled for sampling on one register size.
 
     Row r is the r-th non-identity string in draw order (sorted by (x, z)),
-    (P s)[i] = phases[r] factor[r, i] s[src[r, i]], with the real coefficient
-    ``coeffs[r]``; ``constant`` is the identity's coefficient.
+    with the real coefficient ``coeffs[r]``; ``constant`` is the identity's
+    coefficient.  For a real state s, <s|P|s> = sum_i factor[r, i] s[src[r, i]]
+    s[i]: the string's phase i^popcount(x & z) is folded into ``factor`` as
+    +-1 for an even number of Y's and as 0 for an odd number, whose value on a
+    real state is 0.
     """
 
     src: np.ndarray
     factor: np.ndarray
-    phases: np.ndarray
     coeffs: np.ndarray
     constant: float
 
     def means(self, state: np.ndarray) -> np.ndarray:
-        """<s|P|s> per row: one vdot per string, as for a lone P.state."""
-        rows = self.coeffs.size
+        """<s|P|s> per row for a real full-register ``state``: each row's
+        products summed by ``np.add.reduce``, numpy's pairwise sum, which
+        along a block's rows gives the bits of each row summed alone."""
         step = max(1, _BLOCK_AMPLITUDES // state.shape[0])
-        means = np.empty(rows, dtype=complex)
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            block = self.phases[lo:hi, None] * self.factor[lo:hi] * state[self.src[lo:hi]]
-            means[lo:hi] = [np.vdot(state, row) for row in block]
-        if np.any(np.abs(means.imag) > _IMAG_TOL):
-            raise FloatingPointError("Pauli expectation has imaginary residue")
-        return means.real
+        means = np.empty(self.coeffs.size)
+        for lo in range(0, means.size, step):
+            block = self.factor[lo:lo + step] * state[self.src[lo:lo + step]] * state
+            means[lo:lo + step] = np.add.reduce(block, axis=1)
+        return means
 
 
 def compile_sampled(op: PauliOperator, dim: int) -> SampledOperator:
@@ -336,8 +334,9 @@ def compile_sampled(op: PauliOperator, dim: int) -> SampledOperator:
     x, z, coeffs = x[~ident], z[~ident], coeffs[~ident]
     src = _register(dim)[None, :] ^ x[:, None]
     factor = _pauli_parity(z[:, None], src)
-    phases = np.array([_pauli_phase(k) for k in zip(x.tolist(), z.tolist())], dtype=complex)
-    return SampledOperator(*_read_only(src.astype(np.int32), factor, phases, coeffs.real.copy()),
+    # i^popcount(x & z): +1, 0 (odd, imaginary), -1, 0
+    factor *= np.array([1, 0, -1, 0], np.int8)[np.bitwise_count(x & z) & np.uint8(3), None]
+    return SampledOperator(*_read_only(src.astype(np.int32), factor, coeffs.real.copy()),
                            constant)
 
 
@@ -376,7 +375,7 @@ class StatevectorBackend:
     replays them on the reference's particle-number sector; other backends
     replay on the full register.  The exact Hamiltonian is compiled over the
     determinants of the replay and measured on it directly; a sampled value
-    and ``state`` scatter the replay to the complex full register.
+    and ``state`` scatter the replay to the float64 full register.
     """
 
     def __init__(self, n_qubits: int, reference: int, hamiltonian: FermionOperator,
@@ -396,17 +395,11 @@ class StatevectorBackend:
         self.rng = rng
         self.expectation_count = 0
         self.shots_used = 0
-        self._pauli_h: PauliOperator | None = None
         self._strings: SampledOperator | None = None
         self._sector = Sector(n_qubits, reference.bit_count()) if fermionic else None
         self._dets = _sector_dets(self._sector or Sector(n_qubits))
         self._start, = _read_only((self._dets == reference).astype(np.float64))
         self._exact_h: SparseOperator | None = None
-
-    def pauli_hamiltonian(self) -> PauliOperator:
-        if self._pauli_h is None:
-            self._pauli_h = jordan_wigner(self.hamiltonian)
-        return self._pauli_h
 
     def exact_hamiltonian(self) -> SparseOperator:
         if self._exact_h is None:
@@ -422,8 +415,8 @@ class StatevectorBackend:
         return apply_circuit(state, circuit, self._sector)
 
     def state(self, circuit: Circuit, extra_step: GivensStep | None = None) -> np.ndarray:
-        """The replay scattered to the complex full register."""
-        full = np.zeros(1 << self.n_qubits, dtype=complex)
+        """The replay scattered to the float64 full register."""
+        full = np.zeros(1 << self.n_qubits)
         full[self._dets] = self._replay(circuit, extra_step)
         return full
 
@@ -432,7 +425,7 @@ class StatevectorBackend:
         if self.shots_per_term is None:
             return expectation_exact(self.exact_hamiltonian(), self._replay(circuit, extra_step))
         if self._strings is None:
-            self._strings = compile_sampled(self.pauli_hamiltonian(), 1 << self.n_qubits)
-        self.shots_used += self.shots_per_term * self.pauli_hamiltonian().term_count()
+            self._strings = compile_sampled(jordan_wigner(self.hamiltonian), 1 << self.n_qubits)
+        self.shots_used += self.shots_per_term * self._strings.coeffs.size
         return expectation_sampled(self._strings, self.state(circuit, extra_step),
                                    self.shots_per_term, self.rng)

@@ -11,8 +11,8 @@ acts one operator at a time on a determinant, ``hf_energy`` sums the
 integrals of the occupied orbitals, and the device oracles apply one
 excitation at a time over the full register.  The device conveniences
 (``prepare_determinant``, ``expectation_exact``, ``expectation_sampled``)
-measure full-register states, real or complex, through the compiled
-kernels.  The fermionic device oracles are built on ``apply_key_to_det``
+measure full-register states through the compiled kernels, real or complex
+ones exactly and real ones by sampling.  The fermionic device oracles are built on ``apply_key_to_det``
 and share no code with
 ``fermion.term_action``, the kernel they check; the Pauli one keeps the
 complex step that the real replay replaced.
@@ -378,11 +378,11 @@ def act_loop(op, det):
 # Device conveniences and oracles
 # ---------------------------------------------------------------------------
 
-def prepare_determinant(n_qubits, det):
-    """|det> as a complex statevector over the full register."""
+def prepare_determinant(n_qubits, det, dtype=complex):
+    """|det> as a statevector over the full register, complex by default."""
     if det < 0 or det >= 1 << n_qubits:
         raise ValueError("determinant outside the qubit register")
-    state = np.zeros(1 << n_qubits, dtype=complex)
+    state = np.zeros(1 << n_qubits, dtype=dtype)
     state[det] = 1.0
     return state
 
@@ -397,9 +397,13 @@ def expectation_exact(op, state):
 
 def expectation_sampled(op, state, shots_per_term, rng):
     """The sampled estimator for a PauliOperator, compiled on the state's
-    register, with a seed or a Generator."""
-    return statevector.expectation_sampled(statevector.compile_sampled(op, state.size), state,
-                                           shots_per_term, np.random.default_rng(rng))
+    register, with a seed or a Generator.  It measures real states; a complex
+    one must have a zero imaginary part and is measured as its real part."""
+    if np.any(np.imag(state)):
+        raise ValueError("the sampled estimator measures real states")
+    return statevector.expectation_sampled(statevector.compile_sampled(op, state.size),
+                                           np.real(state), shots_per_term,
+                                           np.random.default_rng(rng))
 
 
 @lru_cache(maxsize=2048)
@@ -463,6 +467,18 @@ def pauli_rotation_loop(state, gen, theta):
 EXACT_RUNS = (dict(method="cfqj", epsilon=1e-4, kappa=1e-3, max_cycles=20, rng_seed=0,
                    energy_floor=0.0),
               dict(method="exact-bch-pauli", max_cycles=10))
+
+
+# A short shot-sampled run: the first 30 cycles of the h4-pqj-shots run at seed 7
+SAMPLED_RUN = dict(method="pqj", epsilon=1e-4, max_cycles=30, shots_per_term=1000, rng_seed=7,
+                   merge_threshold=1e-2)
+
+
+def sampled_trace_digest(fcidump_path):
+    """The sha256 of the SAMPLED_RUN trace on an FCIDUMP file."""
+    problem = build_hamiltonian(parse_fcidump(pathlib.Path(fcidump_path).read_text()))
+    return hashlib.sha256(run_quantum_jacobi(problem, RunConfig(**SAMPLED_RUN)).to_jsonl()
+                          .encode("ascii")).hexdigest()
 
 
 def exact_trace_digests(fcidump_path):

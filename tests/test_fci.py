@@ -8,6 +8,7 @@ from qjacobi.fci import (DeterminantBasis, enumerate_determinants, fci_ground_st
 from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
 from qjacobi.hamiltonian import MolecularProblem, build_hamiltonian
+from qjacobi.statevector import compile_operator
 from support import dense_matrix, embed_in_full_space, expectation_exact, hf_energy
 
 
@@ -116,6 +117,13 @@ class TestCompiledMatrix:
         energy, vec, _ = fci_ground_state(problem, sz)
         assert abs(energy - ground_state(oracle)[0]) < 1e-12
         assert vec.dtype == np.float64 and vec[np.argmax(np.abs(vec))] > 0
+
+    def test_empty_basis(self):
+        # no determinant: the empty compile and a 0 x 0 matrix
+        op = FermionOperator({((1,), (0,)): 0.5, ((0,), (0,)): 2.0}, constant=1.0)
+        sparse = compile_operator(op, np.empty(0, np.uint64))
+        assert sparse.rows.size == sparse.cols.size == sparse.vals.size == 0
+        assert fci_matrix(op, DeterminantBasis(())).shape == (0, 0)
 
     def test_rows_outside_the_basis_dropped(self):
         # a+_1 a_0 maps |01> to |10>, outside a basis of |01> alone: 1 + 2 is left

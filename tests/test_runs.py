@@ -13,7 +13,7 @@ from qjacobi.cli import main
 from qjacobi.jacobi import QJRunError, RunConfig, run_quantum_jacobi
 from qjacobi.statevector import Sector, StatevectorBackend, apply_circuit
 from support import (embed_in_full_space, exact_trace_digests, expectation_exact, fidelity,
-                     hf_energy, prepare_determinant)
+                     hf_energy, prepare_determinant, sampled_trace_digest)
 
 
 def energies(trace):
@@ -158,8 +158,8 @@ class TestDeterminism:
     def test_sampled_pauli_traces_unchanged(self, h4):
         # the h4-pqj-shots benchmark runs: shot-sampled pqj is chaotic, so any
         # change to its arithmetic, however small, changes these hashes
-        expected = {7: "7d5195039e424f4347c328fe773a4340635c1c8fb5006e1862cd8dbd6e125699",
-                    8: "8a16a6a921aeb463af7af216f3f4f10193f298b3e693c4802f9b4f86f5845098"}
+        expected = {7: "211c68e27d21c1931f51fd3788f13afe943d74b780fba7c162f6487cee2c4d1d",
+                    8: "80c6a0e8e2ef18e8964b9384e7c86b335776f0c253cbd63a0f2d9aff8b3c64b1"}
         for seed, digest in expected.items():
             trace = run_quantum_jacobi(h4, RunConfig(
                 method="pqj", epsilon=1e-4, max_cycles=300, shots_per_term=1000,
@@ -168,20 +168,21 @@ class TestDeterminism:
 
 
 class TestBlasKernels:
-    def test_exact_traces_independent_of_openblas_kernel(self):
-        # exact values take no BLAS call, so a process whose OpenBLAS runs
-        # another kernel (OPENBLAS_CORETYPE acts on one process) writes the
-        # same traces
+    def test_traces_independent_of_openblas_kernel(self):
+        # neither exact nor sampled values take a BLAS call, so a process
+        # whose OpenBLAS runs another kernel (OPENBLAS_CORETYPE acts on one
+        # process) writes the same traces
         fixture = pathlib.Path(__file__).parent / "fixtures" / "h4_linear_1.5.fcidump"
         path = [str(pathlib.Path(qjacobi.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
         path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        code = "import sys, support; print(*support.exact_trace_digests(sys.argv[1]))"
+        code = ("import sys, support; print(*support.exact_trace_digests(sys.argv[1]), "
+                "support.sampled_trace_digest(sys.argv[1]))")
         procs = {core: subprocess.Popen(
             [sys.executable, "-c", code, str(fixture)], stdout=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_CORETYPE=core))
             for core in ("Prescott", "Sandybridge")}
         try:
-            expected = exact_trace_digests(fixture)
+            expected = exact_trace_digests(fixture) + [sampled_trace_digest(fixture)]
             for core, proc in procs.items():
                 out, _ = proc.communicate(timeout=120)
                 assert proc.returncode == 0, core

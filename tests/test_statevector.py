@@ -26,10 +26,18 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def apply_pauli_string(state, key):
-    """P . state with the phase outside the map: the single-string kernel the
-    sampled estimator and the Pauli replay are checked against."""
+    """P . state, the phase i^popcount(x & z) times the string's map: the
+    single-string kernel the sampled estimator and the Pauli replay are
+    checked against."""
+    x, z = key
     src, factor = statevector._pauli_map(key, state.shape[0])
-    return statevector._pauli_phase(key) * factor * state[src]
+    return (1j) ** ((x & z).bit_count() & 3) * factor * state[src]
+
+
+def string_product(state, key):
+    """s_i (P s)_i for a real state s, whose sum is <s|P|s>: the real part of
+    the complex product, exactly 0 for a string with an odd number of Y's."""
+    return (apply_pauli_string(state, key) * state).real
 
 
 def term_loop(op, state):
@@ -48,7 +56,9 @@ def oracle_expectation(op, state):
 
 
 def sampled_loop(op, state, shots_per_term, rng):
-    """The per-string sampling loop: the oracle for the compiled estimator."""
+    """The per-string sampling loop on a real state, each mean one
+    ``np.add.reduce`` of a lone string product: the oracle for the compiled
+    estimator."""
     total = 0.0
     for key, coeff in sorted(op.terms.items()):
         if abs(coeff.imag) > 1e-10:
@@ -56,10 +66,8 @@ def sampled_loop(op, state, shots_per_term, rng):
         if key == PAULI_IDENTITY:
             total += coeff.real
             continue
-        mean = complex(np.vdot(state, apply_pauli_string(state, key)))
-        if abs(mean.imag) > 1e-10:
-            raise FloatingPointError("Pauli expectation has imaginary residue")
-        p_up = min(1.0, max(0.0, 0.5 * (1.0 + mean.real)))
+        mean = float(np.add.reduce(string_product(state, key)))
+        p_up = min(1.0, max(0.0, 0.5 * (1.0 + mean)))
         ups = int(rng.binomial(shots_per_term, p_up))
         total += coeff.real * (2.0 * ups / shots_per_term - 1.0)
     return total
@@ -247,16 +255,16 @@ class TestSampled:
 
 @st.composite
 def sampled_cases(draw):
-    """A real-coefficient Pauli operator on <= 6 qubits and a state: random,
-    or a determinant, where Z strings give p_up of exactly 0 or 1."""
+    """A real-coefficient Pauli operator on <= 6 qubits and a real state:
+    random, or a determinant, where Z strings give p_up of exactly 0 or 1."""
     n = draw(st.integers(1, 6))
     masks = st.integers(0, (1 << n) - 1)
     keys = draw(st.lists(st.tuples(masks, masks), unique=True, max_size=20))
     terms = {k: complex(draw(st.floats(-2.0, 2.0))) for k in keys}
     if draw(st.booleans()):
-        state = prepare_determinant(n, draw(masks))
+        state = prepare_determinant(n, draw(masks), dtype=float)
     else:
-        state = _random_state(n, draw(st.integers(0, 2**32 - 1)))
+        state = _random_real_state(n, draw(st.integers(0, 2**32 - 1)))
     return PauliOperator(terms), state
 
 
@@ -273,7 +281,7 @@ class TestSampledMatchesLoop:
     def test_probabilities_zero_and_one(self):
         # |01>: Z0 reads -1 (p_up 0), Z1 reads +1 (p_up 1), X0 reads 0 (p_up 1/2)
         op = PauliOperator({(0, 0b01): 0.7, (0, 0b10): -0.3, (0b01, 0): 0.2, (0, 0): 1.5})
-        state = prepare_determinant(2, 0b01)
+        state = prepare_determinant(2, 0b01, dtype=float)
         rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
         table = compile_sampled(op, state.size)
         assert sorted(0.5 * (1.0 + table.means(state))) == [0.0, 0.5, 1.0]
@@ -297,18 +305,20 @@ class TestSampledMatchesLoop:
 
 class TestSampledMeans:
     @pytest.mark.parametrize("n", [4, 8, 12])
-    def test_means_equal_per_string_vdot(self, n):
-        # <s|P|s> per string must be one np.vdot of s with P.s, bit for bit; a
-        # batched form (block @ s.conj()) rounds differently at these sizes
+    def test_means_equal_per_string_sum(self, n):
+        # the batched means are np.add.reduce of each lone string product, bit
+        # for bit, and within 1e-15 of its exactly rounded sum
         rng = np.random.default_rng(n)
         keys = {(int(x), int(z)) for x, z in rng.integers(0, 1 << n, size=(40, 2))}
         op = PauliOperator(dict.fromkeys(keys, 0.5))
         table = compile_sampled(op, 1 << n)
         for seed in range(3):
-            state = _random_state(n, seed)
-            expected = [complex(np.vdot(state, apply_pauli_string(state, key))).real
-                        for key in sorted(keys) if key != PAULI_IDENTITY]
-            assert table.means(state).tolist() == expected
+            state = _random_real_state(n, seed)
+            products = [string_product(state, key) for key in sorted(keys)
+                        if key != PAULI_IDENTITY]
+            means = table.means(state)
+            assert means.tolist() == [np.add.reduce(p) for p in products]
+            assert max(abs(m - math.fsum(p.tolist())) for m, p in zip(means, products)) <= 1e-15
 
 
 class TestFidelity:
@@ -361,7 +371,7 @@ class TestBackend:
         backend = StatevectorBackend(h2.n_qubits, h2.hf_determinant, h2.hamiltonian,
                                      shots_per_term=10, rng=np.random.default_rng(0))
         backend.expectation(Circuit())
-        n_terms = backend.pauli_hamiltonian().term_count()
+        n_terms = jordan_wigner(h2.hamiltonian).term_count()
         assert backend.shots_used == 10 * n_terms
 
 
@@ -467,6 +477,11 @@ def hermitian_operators(draw):
 def _random_state(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return v / np.linalg.norm(v)
+
+
+def _random_real_state(n, seed):
+    v = np.random.default_rng(seed).normal(size=1 << n)
     return v / np.linalg.norm(v)
 
 
@@ -603,4 +618,4 @@ class TestRealReplay:
                                      fermionic=flavor is FermionGenerator)
         state = backend.state(circuit, circuit.steps[0])
         assert dtypes == [np.float64, np.float64]
-        assert state.dtype == complex and not np.any(state.imag)
+        assert state.dtype == np.float64
