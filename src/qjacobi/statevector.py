@@ -17,8 +17,8 @@ tables in draw order for sampled ones.  An exact value is one exactly rounded
 sum over the float64 replay, so no summation order reaches it; a sampled one
 scatters the replay to the float64 full register and sums each string's
 products with numpy's pairwise sum, whose order numpy's C source fixes.
-Neither path holds a complex array or calls BLAS, so no BLAS kernel reaches
-a trace.
+Neither measurement holds a complex array or calls BLAS, so no BLAS kernel
+reaches a trace.
 Fermionic maps and the compiled Hamiltonian take their entries and signs from
 ``fermion.term_action``, the kernel behind ``FermionOperator.act``, and keep
 the floating-point operations of the term-by-term action, so every amplitude

@@ -12,8 +12,8 @@ integrals of the occupied orbitals, and the device oracles apply one
 excitation at a time over the full register.  The device conveniences
 (``prepare_determinant``, ``expectation_exact``, ``expectation_sampled``)
 measure full-register states through the compiled kernels, real or complex
-ones exactly and real ones by sampling.  The fermionic device oracles are built on ``apply_key_to_det``
-and share no code with
+ones exactly and real ones by sampling.  The fermionic device oracles are
+built on ``apply_key_to_det`` and share no code with
 ``fermion.term_action``, the kernel they check; the Pauli one keeps the
 complex step that the real replay replaced.
 """
