@@ -41,22 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("bad-flags", message)
 
 
-def _optional_float(text: str):
-    if text.lower() == "none":
-        return None
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise CliError("bad-flags", f"expected float or 'none', got {text!r}") from exc
-
-
-def _optional_int(text: str):
-    if text.lower() == "none":
-        return None
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise CliError("bad-flags", f"expected int or 'none', got {text!r}") from exc
+def _optional(kind):
+    """An argparse type: ``kind(text)``, or None for 'none'."""
+    def convert(text: str):
+        if text.lower() == "none":
+            return None
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise CliError("bad-flags",
+                           f"expected {kind.__name__} or 'none', got {text!r}") from exc
+    return convert
 
 
 def _load_problem(path: str):
@@ -78,11 +73,11 @@ def _build_parser() -> _Parser:
     run.add_argument("--fcidump", required=True)
     run.add_argument("--method", required=True, choices=sorted(_METHOD_ALIASES))
     run.add_argument("--epsilon", type=float, default=0.0)
-    run.add_argument("--kappa", type=_optional_float, default=None)
+    run.add_argument("--kappa", type=_optional(float), default=None)
     run.add_argument("--max-cycles", type=int, default=100)
-    run.add_argument("--shots", type=_optional_int, default=None)
+    run.add_argument("--shots", type=_optional(int), default=None)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--merge-threshold", type=_optional_float, default=None)
+    run.add_argument("--merge-threshold", type=_optional(float), default=None)
     run.add_argument("--trace", default=None, help="JSONL cycle records")
     run.add_argument("--summary", default=None, help="CSV summary row")
     run.add_argument("--skip-fci", action="store_true",
@@ -123,9 +118,9 @@ def _cmd_run(args) -> int:
         fci_energy, _, _ = fci_ground_state(problem, sz=data.ms2 / 2.0)
     if args.trace:
         trace.write_jsonl(args.trace)
-    if args.summary:
-        write_summary_csv([trace.summary_row(fci_energy)], args.summary)
     row = trace.summary_row(fci_energy)
+    if args.summary:
+        write_summary_csv([row], args.summary)
     print(f"final_energy={row['final_energy']:.12f}"
           f" cycles={row['cycles']} expectation_values={row['expectation_values']}"
           f" termination={row['termination']}")
@@ -183,6 +178,9 @@ def _cmd_diag(args) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "fci": _cmd_fci, "jw-dump": _cmd_jw_dump, "diag": _cmd_diag}
+
+
 def batch_sweep(problem, configs, fci_energy: float | None = None) -> list[dict]:
     """Independent seeded runs; one summary row each, no cross-run state."""
     rows = []
@@ -195,15 +193,7 @@ def batch_sweep(problem, configs, fci_energy: float | None = None) -> list[dict]
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "fci":
-            return _cmd_fci(args)
-        if args.command == "jw-dump":
-            return _cmd_jw_dump(args)
-        if args.command == "diag":
-            return _cmd_diag(args)
-        raise CliError("bad-flags", f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"qjacobi-error: {exc.tag}: {exc}", file=sys.stderr)
         return 2

@@ -133,13 +133,6 @@ def _reorder(events: tuple[int, ...]) -> tuple[tuple[Key, int], ...]:
     return (((tuple(sorted(cre)), tuple(sorted(ann))), sign),)
 
 
-@lru_cache(maxsize=1 << 16)
-def _cross(ann_desc: tuple[int, ...], cre_asc: tuple[int, ...]) -> tuple[tuple[Key, int], ...]:
-    """Normal order ``a_{ann} .. * a+_{cre} ..`` (the middle of a product)."""
-    events = tuple(q << 1 for q in ann_desc) + tuple((p << 1) | 1 for p in cre_asc)
-    return _reorder(events)
-
-
 def _merge(t1, t2):
     # both ascending; parity of sorting the written concatenation t1 + t2
     inv = 0
@@ -158,11 +151,13 @@ def term_product(key_a: Key, key_b: Key) -> tuple[tuple[Key, int], ...]:
 
     Contractions can only arise between the annihilations of ``key_a`` and the
     creations of ``key_b``; the outer operators merge by pure permutation.
+    The middle ``a_{ann_a} .. a+_{cre_b} ..`` is normal-ordered by ``_reorder``.
     """
     cre_a, ann_a = key_a
     cre_b, ann_b = key_b
     out: dict[Key, int] = {}
-    for (cre_m, ann_m), c0 in _cross(tuple(reversed(ann_a)), cre_b):
+    middle = tuple(q << 1 for q in reversed(ann_a)) + tuple((p << 1) | 1 for p in cre_b)
+    for (cre_m, ann_m), c0 in _reorder(middle):
         mc = _merge(cre_a, cre_m)
         if mc is None:
             continue

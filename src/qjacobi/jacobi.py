@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -29,9 +30,9 @@ from .pauli import (ZERO_FLOOR, PauliGenerator, PauliOperator, bch_transform_pau
 from .statevector import Circuit, GivensStep, StatevectorBackend
 from .trace import CycleRecord, RunTrace
 
-RESIDUAL_FLOOR_DEFAULT = 1e-7
+RESIDUAL_FLOOR = 1e-7  # a residual norm below it ends the run
 ENERGY_FLOOR_DEFAULT = 1e-9
-ENERGY_WINDOW_DEFAULT = 5
+ENERGY_WINDOW = 5  # consecutive energy changes below energy_floor that end the run
 _IMAG_TOL = 1e-9
 
 METHODS = ("pqj", "fqj", "cfqj", "exact-bch-fermionic", "exact-bch-pauli")
@@ -83,9 +84,7 @@ class RunConfig:
     shots_per_term: int | None = None
     rng_seed: int = 0
     merge_threshold: float | None = None
-    residual_floor: float = RESIDUAL_FLOOR_DEFAULT
     energy_floor: float = ENERGY_FLOOR_DEFAULT
-    energy_window: int = ENERGY_WINDOW_DEFAULT
 
     def validate(self) -> None:
         for name in ("epsilon", "kappa", "merge_threshold"):
@@ -102,25 +101,20 @@ class RunConfig:
             raise ValueError("epsilon must be >= 0")
         if self.kappa is not None and self.kappa < self.epsilon:
             raise ValueError("kappa must be >= epsilon")
-        counts = {"max_cycles": 0, "rng_seed": 0, "energy_window": 1}
+        counts = {"max_cycles": 0, "rng_seed": 0}
         if self.shots_per_term is not None:
             counts["shots_per_term"] = 1
         for name, low in counts.items():
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < low:
                 raise ValueError(f"{name} must be an int >= {low}")
-        for name in ("residual_floor", "energy_floor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
+        if not (math.isfinite(self.energy_floor) and self.energy_floor >= 0):
+            raise ValueError("energy_floor must be finite and >= 0")
 
     def effective_kappa(self) -> float | None:
         if self.method != "cfqj":
             return None
         return self.kappa if self.kappa is not None else 10.0 * self.epsilon
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _real(value, what: str) -> float:
@@ -285,16 +279,15 @@ def generator_label(gen, n_qubits: int) -> str:
     return f"f:{sign}{','.join(map(str, ann))}->{','.join(map(str, cre))}"
 
 
-def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
-                       backend: StatevectorBackend | None = None) -> RunTrace:
-    """Execute the full iteration and return its trace.
+def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig) -> RunTrace:
+    """Execute the full iteration on a fresh device and return its trace.
 
-    Terminates on max_cycles, the residual-norm floor, an empty stochastic
-    selection space, or a stretch of negligible energy changes.  Numerical
-    failures (FloatingPointError, ValueError) of the residual, the selection,
-    the measurement, the angle solve and merge or the conjugation raise
-    QJRunError with the trace of the cycles completed before; other exceptions
-    propagate unchanged.
+    Terminates on max_cycles, a residual norm below RESIDUAL_FLOOR, an empty
+    selection space, or ENERGY_WINDOW energy changes below energy_floor in a
+    row.  A FloatingPointError or ValueError in the residual, the selection
+    and generator, the measurement, the angle solve and merge or the
+    conjugation raises QJRunError with the trace of the cycles completed
+    before; other exceptions propagate unchanged.
     """
     config.validate()
     flavor = _FLAVOR[config.method]
@@ -305,17 +298,15 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
     seed_seq = SeedSequence(config.rng_seed)
     sel_seed, meas_seed = seed_seq.spawn(2)
     sel_rng = default_rng(sel_seed)
-    if backend is None:
-        backend = StatevectorBackend(problem.n_qubits, phi0, problem.hamiltonian,
-                                     shots_per_term=config.shots_per_term,
-                                     rng=default_rng(meas_seed),
-                                     fermionic=fermionic)
+    backend = StatevectorBackend(problem.n_qubits, phi0, problem.hamiltonian,
+                                 shots_per_term=config.shots_per_term,
+                                 rng=default_rng(meas_seed), fermionic=fermionic)
 
     residual_source = "exact" if config.method not in _TRUNCATED else "approximate"
     energy = diagonal_element(h_approx, phi0)
     trace = RunTrace(method=config.method, n_qubits=problem.n_qubits,
                      n_electrons=problem.n_electrons, seed=config.rng_seed,
-                     config=config.as_dict())
+                     config=asdict(config))
     circuit = Circuit()
     trace.records.append(CycleRecord(
         k=0, energy=energy, phase="deterministic", term_count=h_approx.term_count(),
@@ -324,23 +315,26 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
 
     phase = "deterministic"
     last_pick: int | None = None
-    recent = deque(maxlen=config.energy_window)
+    recent = deque(maxlen=ENERGY_WINDOW)
     trace.termination = "max_cycles"
 
     n_particles = phi0.bit_count()
 
-    def abort(stage: str, exc: Exception) -> QJRunError:
-        trace.termination = f"{stage}_error: {exc}"
-        trace.final_circuit = circuit
-        return QJRunError(str(exc), trace)
+    @contextmanager
+    def stage(name: str):
+        """End the run with QJRunError on a numerical failure inside."""
+        try:
+            yield
+        except (FloatingPointError, ValueError) as exc:
+            trace.termination = f"{name}_error: {exc}"
+            trace.final_circuit = circuit
+            raise QJRunError(str(exc), trace) from exc
 
     for k in range(1, config.max_cycles + 1):
-        try:
+        with stage("residual"):
             residual = classical_residual(h_approx, phi0)
-        except (FloatingPointError, ValueError) as exc:
-            raise abort("residual", exc) from exc
         rnorm = residual.norm()
-        if rnorm < config.residual_floor or not residual.entries:
+        if rnorm < RESIDUAL_FLOOR or not residual.entries:
             trace.termination = "residual_floor"
             break
         # Only particle-conserving determinant pairs admit a generator.  The
@@ -353,7 +347,7 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
         if not selectable.entries:
             trace.termination = "selection_space_empty"
             break
-        try:
+        with stage("selection"):
             if phase == "deterministic":
                 pick = select_deterministic(selectable)
                 if last_pick is not None and pick == last_pick:
@@ -362,25 +356,17 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
                     pick = select_stochastic(selectable, last_pick, sel_rng)
             else:
                 pick = select_stochastic(selectable, last_pick, sel_rng)
-        except (FloatingPointError, ValueError) as exc:
-            raise abort("selection", exc) from exc
-        if pick is None:
-            trace.termination = "selection_space_empty"
-            break
-        gen = generator_from_determinant(phi0, pick, flavor)
-        try:
+            if pick is None:
+                trace.termination = "selection_space_empty"
+                break
+            gen = generator_from_determinant(phi0, pick, flavor)
+        with stage("backend"):
             block = measure_block(circuit, gen, energy, backend)
-        except (FloatingPointError, ValueError) as exc:
-            raise abort("backend", exc) from exc
-        try:
+        with stage("angle"):
             theta, e_next = solve_givens(block)
             grown, merged = merge_step(circuit, GivensStep(gen, theta), config.merge_threshold)
-        except (FloatingPointError, ValueError) as exc:
-            raise abort("angle", exc) from exc
-        try:
+        with stage("conjugation"):
             h_approx = transform_hamiltonian(h_approx, gen, theta, config, phi0)
-        except (FloatingPointError, ValueError) as exc:
-            raise abort("conjugation", exc) from exc
         circuit = grown
         previous, energy = energy, e_next
         trace.records.append(CycleRecord(
@@ -398,7 +384,7 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig,
             residual_magnitudes=residual.magnitudes()))
         last_pick = pick
         recent.append(abs(energy - previous))
-        if len(recent) == config.energy_window and all(d < config.energy_floor for d in recent):
+        if len(recent) == ENERGY_WINDOW and all(d < config.energy_floor for d in recent):
             trace.termination = "energy_floor"
             break
 

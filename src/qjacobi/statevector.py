@@ -19,22 +19,22 @@ scatters the replay to the float64 full register and sums each string's
 products with numpy's pairwise sum, whose order numpy's C source fixes.
 Neither measurement holds a complex array or calls BLAS, so no BLAS kernel
 reaches a trace.
-Fermionic maps and the compiled Hamiltonian take their entries and signs from
-``fermion.term_action``, the kernel behind ``FermionOperator.act``, and keep
-the floating-point operations of the term-by-term action, so every amplitude
-of H|s> is bit-identical to it.
+One compiler, ``compile_operator``, gives the Hamiltonian and the fermionic
+maps their entries and signs through ``fermion.term_action``, the kernel
+behind ``FermionOperator.act``, and keeps the floating-point operations of the
+term-by-term action, so every amplitude of H|s> is bit-identical to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, singledispatch
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .fermion import FermionGenerator, FermionOperator, _mask, term_action
+from .fermion import FermionGenerator, FermionOperator, term_action
 from .jordan_wigner import jordan_wigner
 from .pauli import PauliGenerator, PauliOperator
 
@@ -111,26 +111,6 @@ def _sector_dets(sector: Sector) -> np.ndarray:
     return _read_only(register[np.bitwise_count(register) == sector.n_particles])[0]
 
 
-@lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _rotation_map(gen: FermionGenerator, sector: Sector):
-    """Cached, read-only ``(out, src, weight)``: (A psi)[out] = weight psi[src]
-    in sector positions for A = s(E - E+), zero elsewhere.
-
-    E+ maps each target of E back to its source with the same sign, so the two
-    have disjoint sources and targets and each weight is the one nonzero term
-    of s(E - E+).  A generator rotates at most 2^(n-1) of 2^n determinants,
-    each one entry of two int32 positions and an int8 weight: the cache holds
-    at most _MAP_CACHE_SIZE * 4.5 * 2^n bytes, 36 MiB at 12 qubits.
-    """
-    dets = _sector_dets(sector)
-    hit, target, odd = term_action(*(np.uint64(_mask(k)) for k in gen.excitation), dets)
-    src = np.flatnonzero(hit).astype(np.int32)
-    target = np.searchsorted(dets, target[hit]).astype(np.int32)
-    sign = 1 - 2 * odd[hit].astype(np.int8)
-    return _read_only(np.concatenate((target, src)), np.concatenate((src, target)),
-                      gen.sign * np.concatenate((sign, -sign)))
-
-
 def _pauli_parity(z, dets: np.ndarray) -> np.ndarray:
     """+-1 from a string's Z mask ``z``, per determinant in ``dets``."""
     zpar = np.bitwise_count(dets & np.uint64(z)) & np.uint8(1)
@@ -202,6 +182,23 @@ def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
     return SparseOperator(*map(np.concatenate, zip(*parts)), op.constant)
 
 
+@lru_cache(maxsize=_MAP_CACHE_SIZE)
+def _rotation_map(gen: FermionGenerator, sector: Sector):
+    """Cached, read-only ``(out, src, weight)``: (A psi)[out] = weight psi[src]
+    in sector positions for A = s(E - E+), zero elsewhere.
+
+    The entries are the compiled s E, then its transpose negated: E and E+
+    have disjoint sources and targets, so each weight is the one nonzero term
+    of s(E - E+).  A generator rotates at most 2^(n-1) of 2^n determinants,
+    each one entry of two int32 positions and an int8 weight: the cache holds
+    at most _MAP_CACHE_SIZE * 4.5 * 2^n bytes, 36 MiB at 12 qubits.
+    """
+    e = compile_operator(FermionOperator({gen.excitation: gen.sign}), _sector_dets(sector))
+    vals = e.vals.astype(np.int8)
+    return _read_only(np.concatenate((e.rows, e.cols)), np.concatenate((e.cols, e.rows)),
+                      np.concatenate((vals, -vals)))
+
+
 def _check_norm(state: np.ndarray) -> np.ndarray:
     """``state``, its norm checked over its float64 components (re and im
     interleaved when complex): it may differ from sqrt(re.re + im.im) in the last bits."""
@@ -255,22 +252,14 @@ def apply_fermionic_rotation(state: np.ndarray, gen: FermionGenerator, theta: fl
     return _check_norm(a1)
 
 
-@singledispatch
-def _rotation(state: np.ndarray, gen, theta: float) -> np.ndarray:
-    """The rotation for a generator's type.  The generator is not the first
-    argument, so steps look it up as ``_rotation.dispatch(type(gen))``."""
-    raise TypeError(f"cannot apply a {type(gen).__name__}")
-
-
-_rotation.register(FermionGenerator, apply_fermionic_rotation)
-_rotation.register(PauliGenerator, apply_pauli_rotation)
+_ROTATIONS = {FermionGenerator: apply_fermionic_rotation, PauliGenerator: apply_pauli_rotation}
 
 
 def apply_step(state: np.ndarray, step: GivensStep, sector: Sector | None = None) -> np.ndarray:
     """One step on the full register, or on ``sector`` for fermionic steps."""
     gen = step.generator
     if sector is None:
-        return _rotation.dispatch(type(gen))(state, gen, step.angle)
+        return _ROTATIONS[type(gen)](state, gen, step.angle)
     return apply_fermionic_rotation(state, gen, step.angle, sector)
 
 
@@ -389,7 +378,6 @@ class StatevectorBackend:
         if shots_per_term is not None and rng is None:
             raise ValueError("a sampled backend needs a random Generator")
         self.n_qubits = n_qubits
-        self.reference = reference
         self.hamiltonian = hamiltonian
         self.shots_per_term = shots_per_term
         self.rng = rng

@@ -410,7 +410,7 @@ class TestCacheState:
         run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=20))
         warm = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
         assert _shape_table.cache_info().currsize
-        for cached in (_shape_table, term_product, fermion._cross, _reorder):
+        for cached in (_shape_table, term_product, _reorder):
             cached.cache_clear()
         cold = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
         assert cold == warm

@@ -108,8 +108,7 @@ class TestTermination:
 
     def test_max_cycles_respected(self, h2):
         trace = run_quantum_jacobi(
-            h2, RunConfig(method="exact-bch-fermionic", max_cycles=1,
-                          residual_floor=0.0, energy_floor=0.0))
+            h2, RunConfig(method="exact-bch-fermionic", max_cycles=1, energy_floor=0.0))
         assert trace.cycles == 1 and trace.termination == "max_cycles"
 
     def test_trace_line_count(self, h4_cfqj_trace):
@@ -248,18 +247,6 @@ class TestConfigValidation:
         cfg = RunConfig(method="cfqj", epsilon=1e-4)
         assert cfg.effective_kappa() == pytest.approx(1e-3)
 
-    def test_energy_window_positive_int(self):
-        for bad in (0, -1, 2.5):
-            with pytest.raises(ValueError, match="energy_window"):
-                RunConfig(method="cfqj", epsilon=1e-4, energy_window=bad).validate()
-        RunConfig(method="cfqj", epsilon=1e-4, energy_window=1).validate()
-
-    def test_residual_floor_finite_nonnegative(self):
-        for bad in (float("nan"), float("inf"), -1e-9):
-            with pytest.raises(ValueError, match="residual_floor"):
-                RunConfig(method="cfqj", epsilon=1e-4, residual_floor=bad).validate()
-        RunConfig(method="cfqj", epsilon=1e-4, residual_floor=0.0).validate()
-
     def test_energy_floor_finite_nonnegative(self):
         for bad in (float("nan"), float("inf"), -1e-9):
             with pytest.raises(ValueError, match="energy_floor"):
@@ -287,6 +274,7 @@ class TestStageFailures:
         ("select_deterministic", "selection_error", ValueError),
         ("solve_givens", "angle_error", FloatingPointError),
         ("merge_step", "angle_error", ValueError),
+        ("generator_from_determinant", "selection_error", ValueError),
     ])
     def test_failure_at_cycle_three_keeps_partial_trace(self, h4, monkeypatch, stage, label,
                                                         error):
