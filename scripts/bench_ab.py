@@ -15,7 +15,10 @@ to a new one with the next number.  The file then gets a ``summary`` per
 workload, seed and trace mode.  For every metric it holds each side's median
 and quartiles, the pairs the change won, and the gap between the medians
 against the parent's interquartile range.  For untraced runs it also says
-whether the JSONL sha256 lists of the two sides match.
+whether the JSONL sha256 lists of the two sides match.  A last line that is
+not strict JSON (``NaN`` or ``Infinity``) or lacks a metric that
+``BENCHMARK.json`` declares for its trace mode is malformed: its run is listed
+with the reason and left out of the summary.
 """
 
 from __future__ import annotations
@@ -50,24 +53,45 @@ def side_info(path: Path, commit: str) -> dict:
     return {"commit": commit, "src_tree": git("rev-parse", f"{commit}:src"), "src_lines": lines}
 
 
-def run_bench(path: Path, workload: str, seed: int, trace: int) -> tuple[dict | None, list]:
-    """The result line and the per-repeat sha256 lists of one invocation."""
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+def parse_result(line: str, declared: list[str]) -> tuple[dict | None, str | None]:
+    """The result record of a last stdout line, or None and why it is malformed."""
+    try:
+        record = json.loads(line, parse_constant=_reject_constant)
+    except ValueError as exc:
+        return None, f"not strict JSON: {exc}"
+    if not isinstance(record, dict) or not isinstance(record.get("metrics"), dict):
+        return None, "not a result line"
+    missing = [name for name in declared if name not in record["metrics"]]
+    if missing:
+        return None, f"lacks declared metrics {missing}"
+    return record, None
+
+
+def run_bench(path: Path, workload: str, seed: int,
+              trace: int) -> tuple[dict | None, str | None, list]:
+    """The result line (or why it is malformed) and the per-repeat sha256
+    lists of one invocation."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--trace", str(trace)],
                           cwd=path, capture_output=True, text=True)
-    result, hashes = None, []
-    for line in proc.stdout.splitlines():
+    lines = proc.stdout.splitlines()
+    hashes = []
+    for line in lines:
         try:
             record = json.loads(line)
         except ValueError:
             continue
         if isinstance(record, dict) and "sha256" in record:
             hashes.append(record["sha256"])
-        if isinstance(record, dict) and "metrics" in record:
-            result = record
-    if result is None:
-        print(f"no result line from {path.name}: {proc.stderr.strip()[-500:]}", file=sys.stderr)
-    return result, hashes
+    result, malformed = parse_result(lines[-1] if lines else "", declared(trace))
+    if malformed:
+        print(f"malformed result from {path.name}: {malformed}; "
+              f"{proc.stderr.strip()[-500:]}", file=sys.stderr)
+    return result, malformed, hashes
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -117,6 +141,13 @@ def directions() -> dict[str, bool]:
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
+def declared(trace: int) -> list[str]:
+    """The metrics a result line must carry: the per-layer ones when traced,
+    the end-to-end ones otherwise."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [m["name"] for m in spec.get("per_layer" if trace else "end_to_end", [])]
+
+
 def bench_path(commits: dict[str, str]) -> Path:
     """The highest-numbered BENCH_<n>.json if it records these two commits,
     else the next number."""
@@ -158,12 +189,14 @@ def main() -> int:
         for pair in range(done + 1, done + args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                result, seen = run_bench(paths[side], args.workload, args.seed, args.trace)
+                result, malformed, seen = run_bench(paths[side], args.workload, args.seed,
+                                                    args.trace)
                 for h in seen:
                     if h not in hashes[side]:
                         hashes[side].append(h)
                 runs.append({"workload": args.workload, "seed": args.seed, "trace": args.trace,
-                             "pair": pair, "side": side, "last_line": result})
+                             "pair": pair, "side": side, "last_line": result,
+                             **({"malformed": malformed} if malformed else {})})
                 print(json.dumps({"pair": pair, "side": side,
                                   "run_s": result and result["metrics"].get("run_s")}),
                       flush=True)
@@ -187,6 +220,7 @@ def main() -> int:
         match = recorded["parent"] == recorded["change"]
     grouped = [r for r in bench["runs"] if (r["workload"], r["seed"], r["trace"]) == same]
     bench["summary"][group] = {"sha256_match": match,
+                               "malformed_runs": sum("malformed" in r for r in grouped),
                                "metrics": summarize(grouped, directions())}
     out_path.write_text(json.dumps(bench, indent=1) + "\n")
     print(json.dumps({"out": out_path.name, "sha256_match": match,

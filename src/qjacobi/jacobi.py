@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 
@@ -28,7 +28,7 @@ from .jordan_wigner import jordan_wigner, jw_generator
 from .pauli import (ZERO_FLOOR, PauliGenerator, PauliOperator, bch_transform_pauli,
                     pauli_label, pauli_weight)
 from .statevector import Circuit, GivensStep, StatevectorBackend
-from .trace import CycleRecord, RunTrace
+from .trace import SUMMARY_CONFIG, CycleRecord, RunTrace
 
 RESIDUAL_FLOOR = 1e-7  # a residual norm below it ends the run
 ENERGY_FLOOR_DEFAULT = 1e-9
@@ -173,10 +173,12 @@ def measure_block(circuit: Circuit, gen, e0: float, backend: StatevectorBackend)
     previous cycle's eigenvalue and never re-measured.
 
     E_mu comes from the pi/2-rotated state and the coupling from the pi/4
-    state minus (e0 + E_mu)/2.  A non-finite value raises FloatingPointError.
+    state minus (e0 + E_mu)/2; the device replays both states as one stack
+    and measures them in that order.  A non-finite value raises
+    FloatingPointError.
     """
-    e_mu = backend.expectation(circuit, extra_step=GivensStep(gen, math.pi / 2.0))
-    mid = backend.expectation(circuit, extra_step=GivensStep(gen, math.pi / 4.0))
+    e_mu, mid = backend.expectations(
+        circuit, (GivensStep(gen, math.pi / 2.0), GivensStep(gen, math.pi / 4.0)))
     if not (math.isfinite(e_mu) and math.isfinite(mid)):
         raise FloatingPointError(f"non-finite expectation value ({e_mu!r}, {mid!r})")
     return EffectiveBlock(e0=e0, e_mu=e_mu, c=mid - 0.5 * (e0 + e_mu))
@@ -306,8 +308,9 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig) -> RunTrace
     energy = diagonal_element(h_approx, phi0)
     trace = RunTrace(method=config.method, n_qubits=problem.n_qubits,
                      n_electrons=problem.n_electrons, seed=config.rng_seed,
-                     config=asdict(config))
+                     config={name: getattr(config, name) for name in SUMMARY_CONFIG})
     circuit = Circuit()
+    cnots = 0  # estimate_cnot_count(circuit): a merge keeps its step's generator
     trace.records.append(CycleRecord(
         k=0, energy=energy, phase="deterministic", term_count=h_approx.term_count(),
         expectation_values=backend.expectation_count, shots_used=backend.shots_used,
@@ -368,6 +371,7 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig) -> RunTrace
         with stage("conjugation"):
             h_approx = transform_hamiltonian(h_approx, gen, theta, config, phi0)
         circuit = grown
+        cnots += 0 if merged else _generator_cnot_cost(gen)
         previous, energy = energy, e_next
         trace.records.append(CycleRecord(
             k=k, energy=energy, phase=phase,
@@ -375,7 +379,7 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig) -> RunTrace
             expectation_values=backend.expectation_count,
             shots_used=backend.shots_used,
             circuit_length=len(circuit),
-            cnot_estimate=estimate_cnot_count(circuit),
+            cnot_estimate=cnots,
             generator=generator_label(gen, problem.n_qubits),
             pick_determinant=pick,
             abs_residual_amplitude=abs(residual.entries[pick]),

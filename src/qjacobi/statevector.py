@@ -10,15 +10,16 @@ real, so circuits replay in float64.
 Each fermionic generator or Pauli string acts through a determinant map
 computed once and cached.  Fermionic circuits never leave the reference's
 particle-number sector (70 of 256 amplitudes on H4, 924 of 4,096 on H6), so a
-backend for them replays states there.  A backend compiles its fermionic
-Hamiltonian once into term-ordered sparse arrays over the determinants it
-replays, for exact values, or its Jordan-Wigner image into per-string gather
-tables in draw order for sampled ones.  An exact value is one exactly rounded
-sum over the float64 replay, so no summation order reaches it; a sampled one
-scatters the replay to the float64 full register and sums each string's
-products with numpy's pairwise sum, whose order numpy's C source fixes.
-Neither measurement holds a complex array or calls BLAS, so no BLAS kernel
-reaches a trace.
+backend for them replays states there.  A 2x2 block's two states replay as
+one stacked array through stacked maps, each row bit-identical to a lone
+replay.  A backend compiles its fermionic Hamiltonian once into term-ordered
+sparse arrays over the determinants it replays, for exact values, or its
+Jordan-Wigner image into gather tables (one row per X mask) in draw order for
+sampled ones.  An exact value is one exactly rounded sum over the float64
+replay, so no summation order reaches it; a sampled one scatters the replay
+to the float64 full register and sums each string's products with numpy's
+pairwise sum, whose order numpy's C source fixes.  Neither measurement holds
+a complex array or calls BLAS, so no BLAS kernel reaches a trace.
 One compiler, ``compile_operator``, gives the Hamiltonian and the fermionic
 maps their entries and signs through ``fermion.term_action``, the kernel
 behind ``FermionOperator.act``, and keeps the floating-point operations of the
@@ -122,9 +123,10 @@ def _pauli_map(key, dim: int):
     """Cached, read-only ``(src, factor)``: (P s)[i] = phase factor[i] s[src[i]]
     with the string's phase i^popcount(x & z) kept outside the map.
 
-    A map has 2^n entries of an int32 index and an int8 factor, so the cache
-    holds at most _MAP_CACHE_SIZE * 5 * 2^n bytes of arrays: 40 MiB at 12
-    qubits, 640 MiB at 16.
+    With ``dim`` = m 2^n it maps a flattened stack of m registers, as x < 2^n
+    keeps each row in place.  A map has ``dim`` entries of an int32 index and
+    an int8 factor: with m <= 2 the cache holds at most _MAP_CACHE_SIZE * 10 *
+    2^n bytes of arrays, 80 MiB at 12 qubits.
     """
     src = _register(dim) ^ np.uint64(key[0])
     return _read_only(src.astype(np.int32), _pauli_parity(key[1], src))
@@ -183,34 +185,38 @@ def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _rotation_map(gen: FermionGenerator, sector: Sector):
+def _rotation_map(gen: FermionGenerator, sector: Sector, rows: int = 1):
     """Cached, read-only ``(out, src, weight)``: (A psi)[out] = weight psi[src]
-    in sector positions for A = s(E - E+), zero elsewhere.
+    in sector positions for A = s(E - E+), zero elsewhere, on a flattened
+    stack of ``rows`` states, row j's positions offset by j sector sizes.
 
     The entries are the compiled s E, then its transpose negated: E and E+
     have disjoint sources and targets, so each weight is the one nonzero term
     of s(E - E+).  A generator rotates at most 2^(n-1) of 2^n determinants,
-    each one entry of two int32 positions and an int8 weight: the cache holds
-    at most _MAP_CACHE_SIZE * 4.5 * 2^n bytes, 36 MiB at 12 qubits.
+    each one entry per row of two int32 positions and an int8 weight: with
+    rows <= 2 the cache holds at most _MAP_CACHE_SIZE * 9 * 2^n bytes, 72 MiB
+    at 12 qubits.
     """
-    e = compile_operator(FermionOperator({gen.excitation: gen.sign}), _sector_dets(sector))
-    vals = e.vals.astype(np.int8)
-    return _read_only(np.concatenate((e.rows, e.cols)), np.concatenate((e.cols, e.rows)),
-                      np.concatenate((vals, -vals)))
+    dets = _sector_dets(sector)
+    e = compile_operator(FermionOperator({gen.excitation: gen.sign}), dets)
+    shift = np.arange(0, rows * dets.size, dets.size, dtype=np.int32)[:, None]
+    return _read_only((np.concatenate((e.rows, e.cols)) + shift).ravel(),
+                      (np.concatenate((e.cols, e.rows)) + shift).ravel(),
+                      np.tile(np.concatenate((e.vals, -e.vals)).astype(np.int8), rows))
 
 
 def _check_norm(state: np.ndarray) -> np.ndarray:
-    """``state``, its norm checked over its float64 components (re and im
-    interleaved when complex): it may differ from sqrt(re.re + im.im) in the last bits."""
-    flat = state.view(np.float64)
-    norm = math.sqrt(flat.dot(flat))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise FloatingPointError(f"statevector norm drifted to {norm!r}")
+    """``state``, the norm of it or of each row of a stack checked over its float64
+    components (re and im interleaved when complex): it may differ from sqrt(re.re + im.im)."""
+    for row in np.atleast_2d(state.view(np.float64)):
+        norm = math.sqrt(row.dot(row))
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise FloatingPointError(f"statevector norm drifted to {norm!r}")
     return state
 
 
 def apply_pauli_rotation(state: np.ndarray, gen: PauliGenerator, theta: float) -> np.ndarray:
-    """e^{i theta P} state = cos(theta) state - sin(theta) P' state.
+    """e^{i theta P} state = cos(theta) state - sin(theta) P' state, also row-wise.
 
     The generator's one Y gives its string the phase i, so i sin(theta) P is
     -sin(theta) times the +-1 map P'.  The factors are exact and each product
@@ -219,27 +225,28 @@ def apply_pauli_rotation(state: np.ndarray, gen: PauliGenerator, theta: float) -
     """
     if theta == 0.0:
         return state.copy()
-    src, factor = _pauli_map(gen.key, state.shape[0])
+    src, factor = _pauli_map(gen.key, state.size)
     out = state.take(src)
     out *= factor
     out *= -math.sin(theta)
-    out += math.cos(theta) * state
-    return _check_norm(out)
+    out += math.cos(theta) * state.ravel()
+    return _check_norm(out.reshape(state.shape))
 
 
 def apply_fermionic_rotation(state: np.ndarray, gen: FermionGenerator, theta: float,
                              sector: Sector | None = None) -> np.ndarray:
     """e^{theta A} state through the closed form, exact for A^3 = -A.
 
-    ``state`` lists the amplitudes of ``sector``, or of the full register when
-    that is None.  A and then A^2 act as one gather/scatter each over the
-    generator's signed map.  The norm check sums over these amplitudes only,
-    so on a sector its value can differ from the full register's in the last
-    bits.
+    ``state``, or each row of a stack, lists the amplitudes of ``sector``, or
+    of the full register when that is None.  A and then A^2 act as one
+    gather/scatter each over the generator's signed map.  The norm check sums
+    over these amplitudes only, so on a sector its value can differ from the
+    full register's in the last bits.
     """
     if theta == 0.0:
         return state.copy()
-    out, src, weight = _rotation_map(gen, sector or Sector(state.shape[0].bit_length() - 1))
+    n = state.shape[-1]
+    out, src, weight = _rotation_map(gen, sector or Sector(n.bit_length() - 1), state.size // n)
     a1 = np.zeros_like(state)
     a1.put(out, weight * state.take(src))
     a2 = np.zeros_like(state)
@@ -278,8 +285,8 @@ def expectation_exact(op: SparseOperator, state: np.ndarray) -> float:
     return math.fsum((state * op.apply(state)).tolist())
 
 
-# Amplitudes of P.state formed at once by a sampled expectation value: the
-# block stays small, and caching every string's products would not.
+# Amplitudes of factor * P.state formed at once by a sampled expectation
+# value: the block stays small, and caching every string's products would not.
 _BLOCK_AMPLITUDES = 4096
 
 
@@ -289,26 +296,28 @@ class SampledOperator:
 
     Row r is the r-th non-identity string in draw order (sorted by (x, z)),
     with the real coefficient ``coeffs[r]``; ``constant`` is the identity's
-    coefficient.  For a real state s, <s|P|s> = sum_i factor[r, i] s[src[r, i]]
-    s[i]: the string's phase i^popcount(x & z) is folded into ``factor`` as
-    +-1 for an even number of Y's and as 0 for an odd number, whose value on a
-    real state is 0.
+    coefficient.  For a real state s, <s|P|s> = sum_i factor[r, i]
+    s[src[xrow[r], i]] s[i], one ``src`` row per X mask: the string's phase
+    i^popcount(x & z) is folded into ``factor`` as +-1 for an even number of
+    Y's and as 0 for an odd number, whose value on a real state is 0.
     """
 
     src: np.ndarray
+    xrow: np.ndarray
     factor: np.ndarray
     coeffs: np.ndarray
     constant: float
 
     def means(self, state: np.ndarray) -> np.ndarray:
         """<s|P|s> per row for a real full-register ``state``: each row's
-        products summed by ``np.add.reduce``, numpy's pairwise sum, which
-        along a block's rows gives the bits of each row summed alone."""
+        products summed by ``np.add.reduce``, numpy's pairwise sum, which gives
+        each row's bits; factor (a b) has the bits of (factor a) b (exact factor)."""
+        prod = state[self.src] * state
         step = max(1, _BLOCK_AMPLITUDES // state.shape[0])
         means = np.empty(self.coeffs.size)
         for lo in range(0, means.size, step):
-            block = self.factor[lo:lo + step] * state[self.src[lo:lo + step]] * state
-            means[lo:lo + step] = np.add.reduce(block, axis=1)
+            rows = slice(lo, lo + step)
+            means[rows] = np.add.reduce(self.factor[rows] * prod[self.xrow[rows]], axis=1)
         return means
 
 
@@ -321,12 +330,13 @@ def compile_sampled(op: PauliOperator, dim: int) -> SampledOperator:
     ident = (x | z) == 0
     constant = float(coeffs[ident].real.sum())  # the one identity string, if any
     x, z, coeffs = x[~ident], z[~ident], coeffs[~ident]
-    src = _register(dim)[None, :] ^ x[:, None]
-    factor = _pauli_parity(z[:, None], src)
+    masks, xrow = np.unique(x, return_inverse=True)
+    src = _register(dim)[None, :] ^ masks[:, None]
+    factor = _pauli_parity(z[:, None], src[xrow])
     # i^popcount(x & z): +1, 0 (odd, imaginary), -1, 0
     factor *= np.array([1, 0, -1, 0], np.int8)[np.bitwise_count(x & z) & np.uint8(3), None]
-    return SampledOperator(*_read_only(src.astype(np.int32), factor, coeffs.real.copy()),
-                           constant)
+    return SampledOperator(*_read_only(src.astype(np.int32), xrow.astype(np.int32), factor,
+                                       coeffs.real.copy()), constant)
 
 
 def expectation_sampled(op: SampledOperator, state: np.ndarray, shots_per_term: int,
@@ -394,26 +404,35 @@ class StatevectorBackend:
             self._exact_h = compile_operator(self.hamiltonian, self._dets)
         return self._exact_h
 
-    def _replay(self, circuit: Circuit, extra_step: GivensStep | None) -> np.ndarray:
-        """U(k) [extra] |Phi0> in float64 on the replayed determinants, the
-        extra candidate rotation acting first."""
-        state = self._start
-        if extra_step is not None:
-            state = apply_step(state, extra_step, self._sector)
-        return apply_circuit(state, circuit, self._sector)
+    def _replay(self, circuit: Circuit, extra_steps: tuple) -> np.ndarray:
+        """Row j: U(k) [extra_j] |Phi0> in float64 on the replayed determinants."""
+        if len(extra_steps) << self.n_qubits > 1 << 31:
+            raise ValueError("the stacked replay would overflow its int32 maps")
+        return apply_circuit(np.stack([self._start if s is None else
+                                       apply_step(self._start, s, self._sector)
+                                       for s in extra_steps]), circuit, self._sector)
 
-    def state(self, circuit: Circuit, extra_step: GivensStep | None = None) -> np.ndarray:
-        """The replay scattered to the float64 full register."""
-        full = np.zeros(1 << self.n_qubits)
-        full[self._dets] = self._replay(circuit, extra_step)
+    def states(self, circuit: Circuit, extra_steps: tuple) -> np.ndarray:
+        """The replay scattered to the float64 full register, row by row."""
+        full = np.zeros((len(extra_steps), 1 << self.n_qubits))
+        full[:, self._dets] = self._replay(circuit, extra_steps)
         return full
 
+    def state(self, circuit: Circuit, extra_step: GivensStep | None = None) -> np.ndarray:
+        return self.states(circuit, (extra_step,))[0]
+
     def expectation(self, circuit: Circuit, extra_step: GivensStep | None = None) -> float:
-        self.expectation_count += 1
+        return self.expectations(circuit, (extra_step,))[0]
+
+    def expectations(self, circuit: Circuit, extra_steps: tuple) -> list[float]:
+        """One value per extra step (None for none), from one stacked replay,
+        the rows measured in order."""
+        self.expectation_count += len(extra_steps)
         if self.shots_per_term is None:
-            return expectation_exact(self.exact_hamiltonian(), self._replay(circuit, extra_step))
+            h = self.exact_hamiltonian()
+            return [expectation_exact(h, row) for row in self._replay(circuit, extra_steps)]
         if self._strings is None:
             self._strings = compile_sampled(jordan_wigner(self.hamiltonian), 1 << self.n_qubits)
-        self.shots_used += self.shots_per_term * self._strings.coeffs.size
-        return expectation_sampled(self._strings, self.state(circuit, extra_step),
-                                   self.shots_per_term, self.rng)
+        self.shots_used += len(extra_steps) * self.shots_per_term * self._strings.coeffs.size
+        return [expectation_sampled(self._strings, row, self.shots_per_term, self.rng)
+                for row in self.states(circuit, extra_steps)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable
 
 SCHEMA_VERSION = 1
@@ -21,6 +21,8 @@ SUMMARY_COLUMNS = (
     "expectation_values", "shots_used", "final_term_count",
     "circuit_length", "cnot_estimate", "termination",
 )
+# the RunConfig values a trace keeps, for its summary row
+SUMMARY_CONFIG = ("epsilon", "kappa", "merge_threshold", "shots_per_term")
 
 
 @dataclass
@@ -47,8 +49,7 @@ class CycleRecord:
     residual_magnitudes: dict[int, float] | None = None
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["schema"] = SCHEMA_VERSION
+        d = dict(vars(self), schema=SCHEMA_VERSION)  # shallow: the one dict is rebuilt
         if self.residual_magnitudes is not None:
             d["residual_magnitudes"] = {str(k): v for k, v in sorted(self.residual_magnitudes.items())}
         for name, value in d.items():
@@ -73,7 +74,7 @@ class RunTrace:
     n_qubits: int
     n_electrons: int
     seed: int
-    config: dict
+    config: dict  # the SUMMARY_CONFIG values of the run's RunConfig
     records: list[CycleRecord] = field(default_factory=list)
     k_c: int | None = None
     termination: str = "max_cycles"
@@ -103,13 +104,10 @@ class RunTrace:
 
     def summary_row(self, fci_energy: float | None = None) -> dict:
         last = self.records[-1]
-        row = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "method": self.method,
-            "epsilon": self.config.get("epsilon"),
-            "kappa": self.config.get("kappa"),
-            "merge_threshold": self.config.get("merge_threshold"),
-            "shots_per_term": self.config.get("shots_per_term"),
+            **{name: self.config.get(name) for name in SUMMARY_CONFIG},
             "seed": self.seed,
             "n_qubits": self.n_qubits,
             "n_electrons": self.n_electrons,
@@ -126,7 +124,6 @@ class RunTrace:
             "cnot_estimate": last.cnot_estimate,
             "termination": self.termination,
         }
-        return row
 
 
 def read_trace_jsonl(path) -> list[CycleRecord]:

@@ -40,3 +40,23 @@ def test_summary_medians_wins_and_gap():
     h = out["hit"]
     assert h["wins"] == 0 and h["gap"] == pytest.approx(-0.6)
     assert not h["gap_exceeds_parent_iqr"]
+
+
+def test_result_line_parsed_strictly():
+    declared = ["run_s", "wall_s"]
+    good = '{"correct": true, "metrics": {"run_s": {"value": 1.5}, "wall_s": {"value": 2.0}}}'
+    assert bench_ab.parse_result(good, declared) == (
+        {"correct": True, "metrics": {"run_s": {"value": 1.5}, "wall_s": {"value": 2.0}}}, None)
+    for line in (good.replace("1.5", "NaN"), good.replace("2.0", "-Infinity")):
+        result, why = bench_ab.parse_result(line, declared)
+        assert result is None and why.startswith("not strict JSON")
+    result, why = bench_ab.parse_result(good, declared + ["peak_rss_mb"])
+    assert result is None and "peak_rss_mb" in why
+    for line in ("benchmark aborted", '{"context": {}}', ""):
+        assert bench_ab.parse_result(line, declared)[0] is None
+
+
+def test_declared_metrics_by_trace_mode():
+    assert bench_ab.declared(0) == ["wall_s", "setup_s", "run_s", "peak_rss_mb"]
+    per_layer = bench_ab.declared(1)
+    assert "jacobi.stage_coverage" in per_layer and "run_s" not in per_layer

@@ -11,7 +11,7 @@ import qjacobi
 from qjacobi import jacobi, statevector
 from qjacobi.cli import main
 from qjacobi.jacobi import QJRunError, RunConfig, run_quantum_jacobi
-from qjacobi.statevector import Sector, StatevectorBackend, apply_circuit
+from qjacobi.statevector import Sector, apply_circuit
 from support import (embed_in_full_space, exact_trace_digests, expectation_exact, fidelity,
                      hf_energy, prepare_determinant, sampled_trace_digest)
 
@@ -298,16 +298,19 @@ class TestStageFailures:
 
     @staticmethod
     def expectation_failing_on_fifth_call(monkeypatch, failure):
-        real = StatevectorBackend.expectation
+        # the device measures each row of a block's stacked replay through
+        # the module-level expectation_exact, so its fifth call is cycle 3's
+        # first expectation value
+        real = statevector.expectation_exact
         calls = []
 
-        def expectation(self, *args, **kwargs):
+        def expectation(*args):
             calls.append(args)
             if len(calls) == 5:
                 return failure()
-            return real(self, *args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(StatevectorBackend, "expectation", expectation)
+        monkeypatch.setattr(statevector, "expectation_exact", expectation)
 
     def test_non_finite_expectation_is_a_backend_error(self, h4, monkeypatch):
         # cycle 3's first expectation value is NaN: the run ends as a backend
@@ -322,15 +325,17 @@ class TestStageFailures:
         assert len(trace.final_circuit) == 2
 
     def test_norm_drift_on_the_sector_is_a_backend_error(self, h4, monkeypatch):
-        # from the seventh step on (cycle 3's first state) the sector map's
-        # weights are 1% too large, so the per-step norm check trips
+        # each block replay looks up one map per candidate state, then one
+        # stacked map per circuit step: from the sixth lookup on (cycle 3's
+        # first state) the sector map's weights are 1% too large, so the
+        # per-step norm check trips
         real = statevector._rotation_map
         sectors = []
 
-        def drifting(gen, sector):
+        def drifting(gen, sector, rows=1):
             sectors.append(sector)
-            out, src, weight = real(gen, sector)
-            return out, src, weight * 1.01 if len(sectors) > 6 else weight
+            out, src, weight = real(gen, sector, rows)
+            return out, src, weight * 1.01 if len(sectors) > 5 else weight
 
         monkeypatch.setattr(statevector, "_rotation_map", drifting)
         with pytest.raises(QJRunError) as info:
@@ -344,19 +349,21 @@ class TestStageFailures:
 
     def test_norm_drift_on_the_full_register_is_a_backend_error(self, h4, monkeypatch):
         # the same drift on a Pauli run, whose steps replay on the full
-        # register: from the seventh step on the string's factors are 1% too large
+        # register, one register per candidate state and a stack of two for
+        # the circuit: from the sixth lookup on the string's factors are 1%
+        # too large
         real = statevector._pauli_map
         dims = []
 
         def drifting(key, dim):
             dims.append(dim)
             src, factor = real(key, dim)
-            return src, factor * 1.01 if len(dims) > 6 else factor
+            return src, factor * 1.01 if len(dims) > 5 else factor
 
         monkeypatch.setattr(statevector, "_pauli_map", drifting)
         with pytest.raises(QJRunError) as info:
             run_quantum_jacobi(h4, RunConfig(method="pqj", epsilon=1e-4, max_cycles=10))
-        assert set(dims) == {1 << h4.n_qubits}
+        assert set(dims) == {1 << h4.n_qubits, 2 << h4.n_qubits}
         trace = info.value.trace
         assert len(trace.records) == 3
         assert trace.termination.startswith("backend_error: statevector norm drifted")

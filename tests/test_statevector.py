@@ -320,6 +320,21 @@ class TestSampledMeans:
             assert means.tolist() == [np.add.reduce(p) for p in products]
             assert max(abs(m - math.fsum(p.tolist())) for m, p in zip(means, products)) <= 1e-15
 
+    def test_h4_table_gathers_once_per_x_mask(self, h4):
+        # the Jordan-Wigner strings share X masks: 184 strings over 27 gather
+        # rows, each mean still the lone string's sum bit for bit, also on
+        # states with many zero amplitudes
+        op = jordan_wigner(h4.hamiltonian)
+        table = compile_sampled(op, 1 << h4.n_qubits)
+        assert (table.src.shape[0], table.coeffs.size) == (27, 184)
+        keys = [key for key in sorted(op.terms) if key != PAULI_IDENTITY]
+        for seed in range(6):
+            state = _random_real_state(h4.n_qubits, seed)
+            if seed % 2:
+                state[np.random.default_rng(seed).random(state.size) < 0.7] = 0.0
+            assert table.means(state).tolist() == [
+                np.add.reduce(string_product(state, key)) for key in keys]
+
 
 class TestFidelity:
     def test_self(self):
@@ -332,6 +347,76 @@ class TestFidelity:
     def test_phase_invariant(self):
         s = prepare_determinant(2, 1)
         assert abs(fidelity(s, 1j * s) - 1.0) < 1e-14
+
+
+def _random_stack(rows, size, seed):
+    v = np.random.default_rng(seed).normal(size=(rows, size))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+class TestStackedReplay:
+    """A stack of states replays as one array; each row equals the lone
+    replay of that state, bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_pauli_stack_equals_rows(self, n):
+        rng = random.Random(n)
+        steps = []
+        for i in range(6):
+            x = rng.randrange(1, 1 << n)
+            y = rng.choice([1 << q for q in range(n) if x >> q & 1])
+            steps.append(GivensStep(PauliGenerator(x, y), 0.0 if i == 2 else rng.uniform(-3, 3)))
+        circuit = Circuit(tuple(steps))
+        stack = _random_stack(3, 1 << n, n)
+        out = apply_circuit(stack, circuit)
+        assert out.shape == stack.shape
+        assert out.tolist() == [apply_circuit(row, circuit).tolist() for row in stack]
+
+    @pytest.mark.parametrize("name", ["h4", "h6"])
+    def test_fermionic_stack_equals_rows(self, name):
+        problem = _problem(name)
+        steps = _circuit(problem, FermionGenerator).steps
+        circuit = Circuit(steps + (GivensStep(steps[0].generator, 0.0),))
+        sector = Sector(problem.n_qubits, problem.n_electrons)
+        stack = _random_stack(2, statevector._sector_dets(sector).size, 7)
+        out = apply_circuit(stack, circuit, sector)
+        assert out.tolist() == [apply_circuit(row, circuit, sector).tolist() for row in stack]
+
+    @pytest.mark.parametrize("flavor", [FermionGenerator, PauliGenerator])
+    def test_drift_in_second_row_alone_raises(self, h4, flavor):
+        step = _circuit(h4, flavor).steps[0]
+        sector = Sector(h4.n_qubits, h4.n_electrons) if flavor is FermionGenerator else None
+        stack = _random_stack(2, statevector._sector_dets(sector or Sector(h4.n_qubits)).size, 3)
+        apply_step = statevector.apply_step
+        apply_step(stack, step, sector)
+        stack[1] *= 1.0 + 1e-8
+        apply_step(stack[0], step, sector)
+        with pytest.raises(FloatingPointError, match="norm drifted"):
+            apply_step(stack, step, sector)
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_block_values_equal_lone_values(self, h4, shots):
+        # the two block states of one stacked replay give the values, shot
+        # tallies and random stream of two lone measurements in that order
+        circuit = _circuit(h4, FermionGenerator)
+        extras = (GivensStep(circuit.steps[0].generator, math.pi / 2), None)
+
+        def backend():
+            return StatevectorBackend(h4.n_qubits, h4.hf_determinant, h4.hamiltonian, shots,
+                                      np.random.default_rng(5), fermionic=True)
+
+        stacked, lone = backend(), backend()
+        values = stacked.expectations(circuit, extras)
+        assert values == [lone.expectation(circuit, extra) for extra in extras]
+        assert stacked.expectation_count == lone.expectation_count == 2
+        assert stacked.shots_used == lone.shots_used
+        assert stacked.rng.bit_generator.state == lone.rng.bit_generator.state
+
+    def test_stack_beyond_int32_maps_rejected(self):
+        backend = object.__new__(StatevectorBackend)
+        backend.n_qubits = 30
+        with pytest.raises(ValueError, match="int32"):
+            backend._replay(Circuit(), (None,) * 3)
 
 
 class TestBackend:
@@ -361,11 +446,11 @@ class TestBackend:
         backend = StatevectorBackend(h4.n_qubits, h4.hf_determinant, h4.hamiltonian,
                                      fermionic=True)
         circuit = _circuit(h4, FermionGenerator)
-        replay = backend._replay(circuit, None)
-        assert replay.dtype == np.float64 and replay.size == 70
+        replay = backend._replay(circuit, (None,))
+        assert replay.dtype == np.float64 and replay.shape == (1, 70)
         assert not backend._start.flags.writeable
         assert backend.expectation(circuit) == statevector.expectation_exact(
-            backend.exact_hamiltonian(), replay)
+            backend.exact_hamiltonian(), replay[0])
 
     def test_shot_accounting(self, h2):
         backend = StatevectorBackend(h2.n_qubits, h2.hf_determinant, h2.hamiltonian,
