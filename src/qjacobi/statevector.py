@@ -185,7 +185,7 @@ def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _rotation_map(gen: FermionGenerator, sector: Sector, rows: int = 1):
+def _rotation_map(gen: FermionGenerator, sector: Sector, rows: int):
     """Cached, read-only ``(out, src, weight)``: (A psi)[out] = weight psi[src]
     in sector positions for A = s(E - E+), zero elsewhere, on a flattened
     stack of ``rows`` states, row j's positions offset by j sector sizes.
@@ -206,9 +206,9 @@ def _rotation_map(gen: FermionGenerator, sector: Sector, rows: int = 1):
 
 
 def _check_norm(state: np.ndarray) -> np.ndarray:
-    """``state``, the norm of it or of each row of a stack checked over its float64
-    components (re and im interleaved when complex): it may differ from sqrt(re.re + im.im)."""
-    for row in np.atleast_2d(state.view(np.float64)):
+    """``state``, each row's norm checked over its float64 components (re, im interleaved)."""
+    flat = state.view(np.float64)
+    for row in flat if flat.ndim == 2 else (flat,):
         norm = math.sqrt(row.dot(row))
         if abs(norm - 1.0) > _NORM_TOL:
             raise FloatingPointError(f"statevector norm drifted to {norm!r}")

@@ -332,7 +332,7 @@ class TestStageFailures:
         real = statevector._rotation_map
         sectors = []
 
-        def drifting(gen, sector, rows=1):
+        def drifting(gen, sector, rows):
             sectors.append(sector)
             out, src, weight = real(gen, sector, rows)
             return out, src, weight * 1.01 if len(sectors) > 5 else weight

@@ -507,8 +507,8 @@ class TestCompiledKernel:
 
     def test_cached_maps_read_only(self):
         gen = FermionGenerator(((2, 3), (0, 1)), -1)
-        maps = (statevector._rotation_map(gen, Sector(4, 2))
-                + statevector._rotation_map(gen, Sector(4))
+        maps = (statevector._rotation_map(gen, Sector(4, 2), 2)
+                + statevector._rotation_map(gen, Sector(4), 1)
                 + statevector._pauli_map((0b0110, 0b0011), 16))
         for arr in maps:
             assert not arr.flags.writeable
