@@ -1,5 +1,4 @@
-"""The names the benchmark's tracer wraps must exist and carry the run, and
-the benchmark's result line must carry every metric it declares.
+"""The names the benchmark's tracer wraps must exist and carry the run.
 
 ``perfbench/tracer.py`` replaces ``qjacobi.jacobi.*``, ``qjacobi.statevector.*``
 and ``qjacobi.cli.*`` attributes with timing wrappers, and its counters read
@@ -10,7 +9,6 @@ modules for good) and checks that every layer recorded its spans.
 """
 
 import json
-import math
 import os
 import pathlib
 import subprocess
@@ -57,26 +55,3 @@ def test_traced_runs_record_every_layer():
     assert report["codes"] == [0, 0]
     missing = [name for name in REQUIRED if name not in report["spans"]]
     assert not missing, missing
-
-
-def _strict(constant):
-    raise ValueError(f"non-finite constant {constant} in a result line")
-
-
-def test_bench_result_lines_carry_every_declared_metric():
-    # a run that exits 0 must end in a strict-JSON result line: the
-    # untraced pass carries the end-to-end metrics, the traced one the
-    # per-layer metrics, each finite
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    for trace, group in (("1", "per_layer"), ("0", "end_to_end")):
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "h6-cfqj",
-             "--trace", trace, "--seconds", "1"],
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_strict)
-        assert result["correct"]
-        metrics = result["metrics"]
-        missing = [m["name"] for m in spec[group] if m["name"] not in metrics]
-        assert not missing, missing
-        assert all(math.isfinite(m["value"]) for m in metrics.values())
