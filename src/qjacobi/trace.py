@@ -49,7 +49,7 @@ class CycleRecord:
     residual_magnitudes: dict[int, float] | None = None
 
     def to_json(self) -> str:
-        d = dict(vars(self), schema=SCHEMA_VERSION)  # shallow: the one dict is rebuilt
+        d = dict(vars(self), schema=SCHEMA_VERSION)  # shallow: residual_magnitudes is rebuilt below
         if self.residual_magnitudes is not None:
             d["residual_magnitudes"] = {str(k): v for k, v in sorted(self.residual_magnitudes.items())}
         for name, value in d.items():

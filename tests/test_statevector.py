@@ -17,7 +17,7 @@ from qjacobi.jordan_wigner import jordan_wigner
 from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, Sector, StatevectorBackend,
                                  apply_circuit, apply_fermionic_rotation, apply_pauli_rotation,
-                                 compile_operator, compile_sampled)
+                                 apply_step, compile_operator, compile_sampled)
 from support import (apply_excitation, dense_matrix, embed_in_full_space, expectation_exact,
                      expectation_sampled, fermionic_rotation_loop, fidelity, generator_operator,
                      hf_energy, pauli_rotation_loop, prepare_determinant)
@@ -387,7 +387,6 @@ class TestStackedReplay:
         step = _circuit(h4, flavor).steps[0]
         sector = Sector(h4.n_qubits, h4.n_electrons) if flavor is FermionGenerator else None
         stack = _random_stack(2, statevector._sector_dets(sector or Sector(h4.n_qubits)).size, 3)
-        apply_step = statevector.apply_step
         apply_step(stack, step, sector)
         stack[1] *= 1.0 + 1e-8
         apply_step(stack[0], step, sector)
