@@ -18,7 +18,10 @@ against the parent's interquartile range.  For untraced runs it also says
 whether the JSONL sha256 lists of the two sides match.  A last line that is
 not strict JSON (``NaN`` or ``Infinity``) or lacks a metric that
 ``BENCHMARK.json`` declares for its trace mode is malformed: its run is listed
-with the reason and left out of the summary.
+with the reason and left out of the summary.  So is a run that failed the
+benchmark's gate (a nonzero exit code, or a result line without
+``"correct": true``); each run records its exit code, and each summary counts
+the malformed and the failed runs of its group.
 """
 
 from __future__ import annotations
@@ -71,10 +74,18 @@ def parse_result(line: str, declared: list[str]) -> tuple[dict | None, str | Non
     return record, None
 
 
-def run_bench(path: Path, workload: str, seed: int,
-              trace: int) -> tuple[dict | None, str | None, list]:
-    """The result line (or why it is malformed) and the per-repeat sha256
-    lists of one invocation."""
+def gate_failure(record: dict, exit_code: int) -> str | None:
+    """Why a well-formed result line failed the benchmark's gate, or None."""
+    if exit_code == 0 and record.get("correct") is True:
+        return None
+    return (f"exit code {exit_code}, correct {record.get('correct')}, "
+            f"{record.get('failed')} failed runs")
+
+
+def run_bench(path: Path, workload: str, seed: int, trace: int) -> dict:
+    """One invocation as a run entry: its exit code, its result line (None
+    when malformed), why it is malformed or failed the gate if it did, and
+    its per-repeat sha256 lists."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--trace", str(trace)],
                           cwd=path, capture_output=True, text=True)
@@ -88,10 +99,16 @@ def run_bench(path: Path, workload: str, seed: int,
         if isinstance(record, dict) and "sha256" in record:
             hashes.append(record["sha256"])
     result, malformed = parse_result(lines[-1] if lines else "", declared(trace))
+    entry = {"exit_code": proc.returncode, "last_line": result, "hashes": hashes}
     if malformed:
-        print(f"malformed result from {path.name}: {malformed}; "
-              f"{proc.stderr.strip()[-500:]}", file=sys.stderr)
-    return result, malformed, hashes
+        entry["malformed"] = malformed
+    elif failed := gate_failure(result, proc.returncode):
+        entry["failed"] = failed
+    for kind in ("malformed", "failed"):
+        if kind in entry:
+            print(f"{kind} run in {path.name}: {entry[kind]}; "
+                  f"{proc.stderr.strip()[-500:]}", file=sys.stderr)
+    return entry
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -104,14 +121,15 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 def summarize(runs: list[dict], lower_is_better: dict[str, bool]) -> dict:
     """Per-metric comparison of one workload/seed/trace group of runs.
 
-    A pair is won when the change's value is better than the parent's; ties
-    count for neither side.  ``gap`` is the parent's median minus the
-    change's, signed so that a positive gap is an improvement, and
-    ``gap_exceeds_parent_iqr`` compares it with the parent's Q3 - Q1.
+    Malformed and failed runs are left out.  A pair is won when the change's
+    value is better than the parent's; ties count for neither side.  ``gap``
+    is the parent's median minus the change's, signed so that a positive gap
+    is an improvement, and ``gap_exceeds_parent_iqr`` compares it with the
+    parent's Q3 - Q1.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
-        if run["last_line"] is not None:
+        if run["last_line"] is not None and "failed" not in run:
             by_pair.setdefault(run["pair"], {})[run["side"]] = run["last_line"]["metrics"]
     pairs = [p for p in by_pair.values() if len(p) == 2]
     out = {}
@@ -133,6 +151,14 @@ def summarize(runs: list[dict], lower_is_better: dict[str, bool]) -> dict:
                      "wins": sum((c < p) if lower else (c > p) for p, c in values),
                      "gap": gap, "parent_iqr": iqr, "gap_exceeds_parent_iqr": gap > iqr}
     return out
+
+
+def group_summary(runs: list[dict]) -> dict:
+    """The counts of malformed and failed runs of one group, and the summary
+    of the others."""
+    return {"malformed_runs": sum("malformed" in r for r in runs),
+            "failed_runs": sum("failed" in r for r in runs),
+            "metrics": summarize(runs, directions())}
 
 
 def directions() -> dict[str, bool]:
@@ -189,14 +215,13 @@ def main() -> int:
         for pair in range(done + 1, done + args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                result, malformed, seen = run_bench(paths[side], args.workload, args.seed,
-                                                    args.trace)
-                for h in seen:
+                entry = run_bench(paths[side], args.workload, args.seed, args.trace)
+                for h in entry.pop("hashes"):
                     if h not in hashes[side]:
                         hashes[side].append(h)
                 runs.append({"workload": args.workload, "seed": args.seed, "trace": args.trace,
-                             "pair": pair, "side": side, "last_line": result,
-                             **({"malformed": malformed} if malformed else {})})
+                             "pair": pair, "side": side, **entry})
+                result = entry["last_line"]
                 print(json.dumps({"pair": pair, "side": side,
                                   "run_s": result and result["metrics"].get("run_s")}),
                       flush=True)
@@ -219,9 +244,7 @@ def main() -> int:
             recorded[side] += [h for h in hashes[side] if h not in recorded[side]]
         match = recorded["parent"] == recorded["change"]
     grouped = [r for r in bench["runs"] if (r["workload"], r["seed"], r["trace"]) == same]
-    bench["summary"][group] = {"sha256_match": match,
-                               "malformed_runs": sum("malformed" in r for r in grouped),
-                               "metrics": summarize(grouped, directions())}
+    bench["summary"][group] = {"sha256_match": match, **group_summary(grouped)}
     out_path.write_text(json.dumps(bench, indent=1) + "\n")
     print(json.dumps({"out": out_path.name, "sha256_match": match,
                       "run_s": bench["summary"][group]["metrics"].get("run_s")}))

@@ -7,8 +7,9 @@ A PauliOperator holds term-ordered arrays (``x``, ``z`` uint64 masks and
 complex ``coeffs``); conjugation, the per-determinant action and truncation are
 numpy passes over them.  Each product there has a unit-phase, real or purely
 imaginary factor, so each component is rounded once; outputs sum their
-contributions in term order and keep a term-by-term dict loop's insertion
-order, so results are bit-identical to that loop's.
+contributions in term order from 0.0 and keep a term-by-term dict loop's
+insertion order, so results are bit-identical to that loop's.  The action
+merges equal keys by a sort; conjugation pairs each string with its partner.
 """
 
 from __future__ import annotations
@@ -194,7 +195,11 @@ def bch_transform_pauli(op: PauliOperator, gen: PauliGenerator, theta: float) ->
 
     Commuting strings pass through; anticommuting ones rotate as
     cos(2 theta) P + i sin(2 theta) P P_g.  The partner P P_g anticommutes with
-    P_g too, so an output string gets at most two contributions.
+    P_g too, and distinct strings have distinct partners, so an output string
+    gets at most two contributions, and one rounded addition of two values is
+    the same in either order.  Pairing each string with its partner in ``op``
+    then gives the dict loop's output order without a merge.  Each sum starts
+    from 0.0 as the loop's does, which turns a -0.0 component into +0.0.
     """
     if theta == 0.0:
         return op
@@ -202,20 +207,26 @@ def bch_transform_pauli(op: PauliOperator, gen: PauliGenerator, theta: float) ->
     cos2 = math.cos(2.0 * theta)
     isin2 = 1j * math.sin(2.0 * theta)
     x, z, h = op.x, op.z, op.coeffs
+    px, pz = x ^ gx, z ^ gz
     anti = ((np.bitwise_count(x & gz) + np.bitwise_count(z & gx)) & 1).astype(bool)
-    xa, za, ha = x[anti], z[anti], h[anti]
-    px, pz = xa ^ gx, za ^ gz
     # pauli_multiply's phase exponent; uint8 wrap-around keeps it mod 4
-    e = (np.bitwise_count(xa & za) + np.bitwise_count(gx & gz) - np.bitwise_count(px & pz)
-         + 2 * np.bitwise_count(za & gx)) & 3
-    own = h.copy()
-    own[anti] = ha * cos2
-    # the sequence a dict loop would see: each string, then its partner
-    slot = np.arange(h.size) + np.cumsum(anti) - anti
-    size = h.size + xa.size
-    seq = [np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size, complex)]
-    for arr, mine, partner in zip(seq, (x, z, own), (px, pz, ha * isin2 * _PHASE_TABLE[e])):
-        arr[slot] = mine
-        arr[slot[anti] + 1] = partner
-    (x, z), coeffs = _merge_first_seen((seq[0], seq[1]), seq[2])
-    return PauliOperator.from_arrays(x, z, coeffs).pruned()
+    e = (np.bitwise_count(x & z) + np.bitwise_count(gx & gz) - np.bitwise_count(px & pz)
+         + 2 * np.bitwise_count(z & gx)) & 3
+    own, new = np.where(anti, h * cos2, h), h * isin2 * _PHASE_TABLE[e]
+    # K and K g share the member whose x has the Y bit clear: a stable sort on
+    # it puts each pair of anticommuting strings side by side, earlier first
+    ia = np.flatnonzero(anti)
+    flip = (x[ia] & gz) != 0
+    cx, cz = np.where(flip, px[ia], x[ia]), np.where(flip, pz[ia], z[ia])
+    order = np.lexsort((cz, cx))
+    tie = np.flatnonzero((np.diff(cx[order]) == 0) & (np.diff(cz[order]) == 0))
+    first, later = ia[order[tie]], ia[order[tie + 1]]
+    # a dict loop's sequence: each string, then its partner; a pair's later
+    # member adds into the earlier's two entries and emits none of its own
+    vals = 0.0 + np.stack((own, new), axis=1)
+    vals[first] += np.stack((new[later], own[later]), axis=1)
+    emit = np.stack((np.ones_like(anti), anti), axis=1)
+    emit[later] = False
+    emit = np.flatnonzero(emit)
+    keys = (np.stack(pair, axis=1).ravel()[emit] for pair in ((x, px), (z, pz)))
+    return PauliOperator.from_arrays(*keys, vals.ravel()[emit]).pruned()

@@ -4,23 +4,24 @@ The algebra helpers (Wick normal ordering, products, commutators, sums) build
 operators through their ``.terms`` views.  The oracles are the term-by-term
 dict loops that the array passes of ``qjacobi.fermion``, ``qjacobi.cumulant``,
 ``qjacobi.jacobi.truncate`` and ``qjacobi.hamiltonian`` replaced; each returns
-``(terms, constant)`` with the loop's insertion order, for ``==``
-comparisons.  ``dense_matrix`` fills a complex matrix one ``act`` at a time,
-the oracle for the compiled FCI matrix.  ``apply_key_to_det``
-acts one operator at a time on a determinant, ``hf_energy`` sums the
-integrals of the occupied orbitals, and the device oracles apply one
-excitation at a time over the full register.  The device conveniences
-(``prepare_determinant``, ``expectation_exact``, ``expectation_sampled``)
-measure full-register states through the compiled kernels, real or complex
-ones exactly and real ones by sampling.  The fermionic device oracles are
-built on ``apply_key_to_det`` and share no code with
-``fermion.term_action``, the kernel they check; the Pauli one keeps the
+``(terms, constant)`` with the loop's insertion order, compared key by key
+in order and value by value in IEEE bits (``bits``).  ``dense_matrix`` fills
+a complex matrix one ``act`` at a time, the oracle for the compiled FCI
+matrix.  ``apply_key_to_det`` acts one operator at a time on a determinant,
+``hf_energy`` sums the integrals of the occupied orbitals, and the device
+oracles apply one excitation at a time over the full register.  The device
+conveniences (``prepare_determinant``, ``expectation_exact``,
+``expectation_sampled``) measure full-register states through the compiled
+kernels, real or complex ones exactly and real ones by sampling.  The
+fermionic device oracles are built on ``apply_key_to_det`` and share no code
+with ``fermion.term_action``, the kernel they check; the Pauli one keeps the
 complex step that the real replay replaced.
 """
 
 import hashlib
 import math
 import pathlib
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -189,6 +190,12 @@ def hf_energy(data: FCIDumpData) -> float:
 # ---------------------------------------------------------------------------
 # Dict-loop oracles
 # ---------------------------------------------------------------------------
+
+def bits(items):
+    """``(key, value)`` pairs with each value as its IEEE bytes (real, imag),
+    so that a comparison tells -0.0 from 0.0, which ``==`` does not."""
+    return [(k, struct.pack("<dd", complex(v).real, complex(v).imag)) for k, v in items]
+
 
 def _pruned(terms, constant, floor):
     return ({k: c for k, c in terms.items() if abs(c) > floor},

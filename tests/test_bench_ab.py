@@ -60,3 +60,20 @@ def test_declared_metrics_by_trace_mode():
     assert bench_ab.declared(0) == ["wall_s", "setup_s", "run_s", "peak_rss_mb"]
     per_layer = bench_ab.declared(1)
     assert "jacobi.stage_coverage" in per_layer and "run_s" not in per_layer
+
+
+def test_failed_runs_listed_and_left_out():
+    good = {"correct": True, "failed": 0}
+    assert bench_ab.gate_failure(good, 0) is None
+    for record, code in (({"correct": False, "failed": 2}, 1), (good, 1),
+                         ({"correct": False, "failed": 0}, 0)):
+        assert bench_ab.gate_failure(record, code).startswith(f"exit code {code}, correct ")
+    assert "2 failed runs" in bench_ab.gate_failure({"correct": False, "failed": 2}, 1)
+    runs = [run(1, "parent", run_s=1.0), run(1, "change", run_s=0.5),
+            run(2, "parent", run_s=1.0), {**run(2, "change", run_s=0.1), "failed": "exit code 1"},
+            {**run(3, "parent", run_s=2.0), "last_line": None, "malformed": "not a result line"},
+            run(3, "change", run_s=0.2)]
+    out = bench_ab.group_summary(runs)
+    assert (out["malformed_runs"], out["failed_runs"]) == (1, 1)
+    assert out["metrics"]["run_s"]["pairs"] == 1
+    assert out["metrics"]["run_s"]["change"]["median"] == 0.5

@@ -11,7 +11,7 @@ from qjacobi.jacobi import truncate
 from qjacobi.pauli import (PAULI_IDENTITY, ZERO_FLOOR, PauliGenerator, PauliOperator,
                            bch_transform_pauli, pauli_label, pauli_multiply,
                            pauli_weight)
-from support import dense_matrix
+from support import bits, dense_matrix
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -204,12 +204,15 @@ _THETAS = st.sampled_from([0.0, math.pi / 4, math.pi / 2, -math.pi / 8]) | st.fl
 
 @st.composite
 def operators(draw, n_qubits=None):
-    """(n, terms, generator): distinct strings on n <= 8 qubits, some with their
-    partner under the generator present too, the identity sometimes."""
+    """(n, terms, generator): distinct strings on n qubits (1 to 8 unless
+    given), some with their partner under the generator present too, the
+    identity sometimes."""
     n = n_qubits or draw(st.integers(1, 8))
     xm = draw(st.integers(1, (1 << n) - 1))
     gen = PauliGenerator(xm, xm & -xm)
     masks = st.integers(0, (1 << n) - 1)
+    if n > 32:  # strings that agree below bit 32 catch keys cut or packed there
+        masks |= st.builds(lambda lo, hi: lo | hi << 32, st.integers(0, 3), st.integers(0, 3))
     keys = draw(st.lists(st.tuples(masks, masks), unique=True, max_size=24))
     if keys:
         keys += [(x ^ gen.x_mask, z ^ gen.z_mask)
@@ -223,7 +226,7 @@ def operators(draw, n_qubits=None):
 
 
 def assert_same_terms(op, expected):
-    assert list(op.terms.items()) == list(expected.items())
+    assert bits(op.terms.items()) == bits(expected.items())
 
 
 class TestArrayKernelsMatchLoops:
@@ -239,7 +242,22 @@ class TestArrayKernelsMatchLoops:
     def test_act(self, case, det):
         n, terms, gen = case
         det &= (1 << n) - 1
-        assert list(PauliOperator(terms).act(det).items()) == list(act_loop(terms, det).items())
+        assert bits(PauliOperator(terms).act(det).items()) == bits(act_loop(terms, det).items())
+
+    # strings past bit 31, which a conjugation keyed on a packed x << 32 | z
+    # would merge wrongly
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(operators(n_qubits=64), _THETAS)
+    def test_bch_transform_on_64_qubits(self, case, theta):
+        n, terms, gen = case
+        assert_same_terms(bch_transform_pauli(PauliOperator(terms), gen, theta),
+                          bch_loop(terms, gen, theta))
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(operators(n_qubits=40), st.integers(0, (1 << 40) - 1))
+    def test_act_on_40_qubits(self, case, det):
+        n, terms, gen = case
+        assert bits(PauliOperator(terms).act(det).items()) == bits(act_loop(terms, det).items())
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(operators(), st.sampled_from([0.0, 0.25, 0.5, 1e-15, 1e-3]) | st.floats(0.0, 2.0))
@@ -261,10 +279,23 @@ class TestArrayKernelsMatchLoops:
             cancelled += Z not in out.terms
         assert cancelled == 1
 
+    def test_partner_pairing_order(self):
+        # under g = Y0 X1: B = X0X1 comes before its partner A = Z0, and the
+        # commuting C = X2 sits between them; D = Z1's partner Y0Y1 is absent;
+        # F = Z0X1 comes before its partner E = X0, whose x has the Y bit set
+        gen = PauliGenerator(0b11, 0b01)
+        a, b, c, d, e, f = (0, 1), (3, 0), (4, 0), (0, 2), (1, 0), (2, 1)
+        terms = {b: 0.5, c: complex(0.25, -0.0), a: -0.75j, d: 1.0, f: 0.5 + 0.5j, e: -0.25}
+        out = bch_transform_pauli(PauliOperator(terms), gen, 0.3)
+        assert list(out.terms) == [b, a, c, d, (3, 3), f, e]
+        assert_same_terms(out, bch_loop(terms, gen, 0.3))
+        # the 0.0 seed turns the commuting string's -0.0 imaginary part into +0.0
+        assert math.copysign(1.0, out.terms[c].imag) == 1.0
+
     def test_act_cancels_exactly(self):
         # (I + Z0)/2 annihilates |1>: the two contributions cancel to 0
         op = PauliOperator({I: 0.5, Z: 0.5})
-        assert op.act(1) == act_loop(op.terms, 1) == {1: 0.0}
+        assert bits(op.act(1).items()) == bits(act_loop(op.terms, 1).items()) == bits([(1, 0.0)])
 
     def test_terms_view(self):
         op = PauliOperator({X: 0.5, I: 1.0, Z: -0.25j})

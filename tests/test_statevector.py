@@ -508,17 +508,54 @@ class TestCompiledKernel:
         gen = FermionGenerator(((2, 3), (0, 1)), -1)
         maps = (statevector._rotation_map(gen, Sector(4, 2), 2)
                 + statevector._rotation_map(gen, Sector(4), 1)
+                + statevector._signed_entries(gen, Sector(4, 2))
                 + statevector._pauli_map((0b0110, 0b0011), 16))
         for arr in maps:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
-        for cache in (statevector._rotation_map, statevector._pauli_map):
+        for cache in (statevector._rotation_map, statevector._signed_entries,
+                      statevector._pauli_map):
             assert cache.cache_info().maxsize == statevector._MAP_CACHE_SIZE
+
+    @pytest.mark.parametrize("sector", [Sector(4, 2), Sector(4)])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_rotation_map_tiles_the_one_row_compile(self, sector, rows):
+        # the stacked map as it was built before the one-row compile was
+        # cached: the compiled s E, its transpose negated, offset per row
+        gen = FermionGenerator(((2, 3), (0, 1)), -1)
+        dets = statevector._sector_dets(sector)
+        e = compile_operator(FermionOperator({gen.excitation: gen.sign}), dets)
+        shift = np.arange(0, rows * dets.size, dets.size, dtype=np.int32)[:, None]
+        expected = ((np.concatenate((e.rows, e.cols)) + shift).ravel(),
+                    (np.concatenate((e.cols, e.rows)) + shift).ravel(),
+                    np.tile(np.concatenate((e.vals, -e.vals)).astype(np.int8), rows))
+        for got, want in zip(statevector._rotation_map(gen, sector, rows), expected, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_rotation_map_compiles_each_generator_once(self, h4, monkeypatch):
+        # a block replays its candidate step on one row, and the circuit
+        # replays it on two once it is accepted: one compile serves both
+        real, asked = statevector._rotation_map, set()
+
+        def recording(gen, sector, rows):
+            asked.add((gen, rows))
+            return real(gen, sector, rows)
+
+        real.cache_clear()
+        statevector._signed_entries.cache_clear()
+        monkeypatch.setattr(statevector, "_rotation_map", recording)
+        run_quantum_jacobi(h4, RunConfig(method="cfqj", epsilon=1e-4, kappa=1e-3,
+                                         max_cycles=12))
+        generators = {gen for gen, _ in asked}
+        assert {rows for _, rows in asked} == {1, 2} and len(asked) > len(generators)
+        assert statevector._signed_entries.cache_info().misses == len(generators)
+        assert real.cache_info().misses == len(asked)
 
     def test_trace_independent_of_cache_state(self, h4):
         cfg = dict(method="cfqj", epsilon=1e-4, kappa=1e-3, max_cycles=60, rng_seed=5)
         statevector._rotation_map.cache_clear()
+        statevector._signed_entries.cache_clear()
         statevector._pauli_map.cache_clear()
         cold = run_quantum_jacobi(h4, RunConfig(**cfg)).to_jsonl()
         misses = statevector._rotation_map.cache_info().misses
