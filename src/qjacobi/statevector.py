@@ -1,11 +1,12 @@
 """Simulated quantum backend: statevectors, Givens circuits, measurement.
 
-The statevector stands in for the quantum device.  Fermionic rotations are
-applied natively in the determinant basis through the nilpotent closed form
-e^{theta A} = 1 + sin(theta) A + (1 - cos(theta)) A^2; Pauli rotations through
-e^{i theta P} = cos(theta) - sin(theta) P', where P = i P' for a generator's
-X-string with one Y and P' is a real signed permutation.  Every rotation is
-real, so circuits replay in float64.
+The statevector stands in for the quantum device.  Every rotation is real, so
+circuits replay in float64.  A fermionic rotation applies the closed form
+e^{theta A} = 1 + sin(theta) A + (1 - cos(theta)) A^2 in the determinant
+basis as two gathers and one scatter, since A^2 = -1 on the determinants it
+rotates; a Pauli rotation applies e^{i theta P} = cos(theta) - sin(theta) P'
+as one gather, where P = i P' for a generator's X-string with one Y and P' is
+a real signed permutation.
 
 Each fermionic generator or Pauli string acts through a determinant map
 computed once and cached.  Fermionic circuits never leave the reference's
@@ -16,14 +17,13 @@ replay.  A backend compiles its fermionic Hamiltonian once into term-ordered
 sparse arrays over the determinants it replays, for exact values, or its
 Jordan-Wigner image into gather tables (one row per X mask) in draw order for
 sampled ones.  An exact value is one exactly rounded sum over the float64
-replay, so no summation order reaches it; a sampled one scatters the replay
-to the float64 full register and sums each string's products with numpy's
-pairwise sum, whose order numpy's C source fixes.  Neither measurement holds
-a complex array or calls BLAS, so no BLAS kernel reaches a trace.
-One compiler, ``compile_operator``, gives the Hamiltonian and the fermionic
-maps their entries and signs through ``fermion.term_action``, the kernel
-behind ``FermionOperator.act``, and keeps the floating-point operations of the
-term-by-term action, so every amplitude of H|s> is bit-identical to it.
+replay, so no summation order reaches it; a sampled one sums each string's
+products over the full register with numpy's pairwise sum, whose order
+numpy's C source fixes.  Neither measurement holds a complex array or calls
+BLAS.  One compiler, ``compile_operator``, gives the Hamiltonian and the
+fermionic maps their entries and signs through ``fermion.term_action``, the
+kernel behind ``FermionOperator.act``, and keeps the floating-point operations
+of the term-by-term action, so every amplitude of H|s> is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -119,17 +119,16 @@ def _pauli_parity(z, dets: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _pauli_map(key, dim: int):
-    """Cached, read-only ``(src, factor)``: (P s)[i] = phase factor[i] s[src[i]]
-    with the string's phase i^popcount(x & z) kept outside the map.
-
-    With ``dim`` = m 2^n it maps a flattened stack of m registers, as x < 2^n
-    keeps each row in place.  A map has ``dim`` entries of an int32 index and
-    an int8 factor: with m <= 2 the cache holds at most _MAP_CACHE_SIZE * 10 *
-    2^n bytes of arrays, 80 MiB at 12 qubits.
+def _pauli_map(key, shape: tuple[int, ...]):
+    """Cached, read-only ``(src, factor)`` of the replayed ``shape``: (P s)[i]
+    = phase factor[i] s.flat[src[i]], the phase i^popcount(x & z) kept
+    outside; a stack's rows stay in place, as x < 2^n.  An entry is an int32
+    index and a +-1 float64 factor: with m <= 2 registers the cache holds at
+    most _MAP_CACHE_SIZE * 24 * 2^n bytes, 192 MiB at 12 qubits (pqj holds 42).
     """
-    src = _register(dim) ^ np.uint64(key[0])
-    return _read_only(src.astype(np.int32), _pauli_parity(key[1], src))
+    src = _register(math.prod(shape)) ^ np.uint64(key[0])
+    return _read_only(src.astype(np.int32).reshape(shape),
+                      _pauli_parity(key[1], src).astype(np.float64).reshape(shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,10 +211,11 @@ def _rotation_map(gen: FermionGenerator, sector: Sector, rows: int):
 
 def _check_norm(state: np.ndarray) -> np.ndarray:
     """``state``, each row's norm checked over its float64 components (re, im
-    interleaved); one ``np.vecdot`` gives every row's squared norm."""
+    interleaved); one ``np.vecdot`` gives every row's squared norm, and a NaN
+    norm fails the check."""
     flat = state.view(np.float64)
     for norm in map(math.sqrt, np.vecdot(flat, flat).reshape(-1).tolist()):
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise FloatingPointError(f"statevector norm drifted to {norm!r}")
     return state
 
@@ -224,18 +224,18 @@ def apply_pauli_rotation(state: np.ndarray, gen: PauliGenerator, theta: float) -
     """e^{i theta P} state = cos(theta) state - sin(theta) P' state, also row-wise.
 
     The generator's one Y gives its string the phase i, so i sin(theta) P is
-    -sin(theta) times the +-1 map P'.  The factors are exact and each product
-    is rounded once, so the values equal those of i sin(theta) (P state), and
-    a real state stays real.
+    -sin(theta) times the +-1 map P', gathered through a map of the state's
+    shape.  The factors are exact and each product is rounded once, so the
+    values equal those of i sin(theta) (P state), and a real state stays real.
     """
     if theta == 0.0:
         return state.copy()
-    src, factor = _pauli_map(gen.key, state.size)
+    src, factor = _pauli_map(gen.key, state.shape)
     out = state.take(src)
     out *= factor
     out *= -math.sin(theta)
-    out += math.cos(theta) * state.ravel()
-    return _check_norm(out.reshape(state.shape))
+    out += math.cos(theta) * state
+    return _check_norm(out)
 
 
 def apply_fermionic_rotation(state: np.ndarray, gen: FermionGenerator, theta: float,
@@ -243,25 +243,23 @@ def apply_fermionic_rotation(state: np.ndarray, gen: FermionGenerator, theta: fl
     """e^{theta A} state through the closed form, exact for A^3 = -A.
 
     ``state``, or each row of a stack, lists the amplitudes of ``sector``, or
-    of the full register when that is None.  A and then A^2 act as one
-    gather/scatter each over the generator's signed map.  The norm check sums
-    over these amplitudes only, so on a sector its value can differ from the
-    full register's in the last bits.
+    of the full register when that is None.  A's sources and targets are
+    disjoint and its weights +-1, so A^2 = -1 on the rotated amplitudes: two
+    gathers and one scatter round as s + sin(theta) A s + (1 - cos(theta))
+    A^2 s summed left to right, ``+ 0.0`` turning -0.0 to +0.0 elsewhere as
+    that sum does.  The norm check sums over these amplitudes only, so on a
+    sector its value can differ from the full register's in the last bits.
     """
     if theta == 0.0:
         return state.copy()
     n = state.shape[-1]
     out, src, weight = _rotation_map(gen, sector or Sector(n.bit_length() - 1), state.size // n)
-    a1 = np.zeros_like(state)
-    a1.put(out, weight * state.take(src))
-    a2 = np.zeros_like(state)
-    a2.put(out, weight * a1.take(src))
-    # state + sin(theta) a1 + (1 - cos(theta)) a2, summed left to right in place
-    a1 *= math.sin(theta)
-    a1 += state
-    a2 *= 1.0 - math.cos(theta)
-    a1 += a2
-    return _check_norm(a1)
+    s_out = state.take(out)
+    rot = math.sin(theta) * (weight * state.take(src)) + s_out
+    rot -= (1.0 - math.cos(theta)) * s_out
+    res = state + 0.0
+    res.put(out, rot)
+    return _check_norm(res)
 
 
 _ROTATIONS = {FermionGenerator: apply_fermionic_rotation, PauliGenerator: apply_pauli_rotation}
@@ -292,7 +290,7 @@ def expectation_exact(op: SparseOperator, state: np.ndarray) -> float:
 
 # Amplitudes of factor * P.state formed at once by a sampled expectation
 # value: the block stays small, and caching every string's products would not.
-_BLOCK_AMPLITUDES = 4096
+_BLOCK_AMPLITUDES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +416,9 @@ class StatevectorBackend:
                                        for s in extra_steps]), circuit, self._sector)
 
     def states(self, circuit: Circuit, extra_steps: tuple) -> np.ndarray:
-        """The replay scattered to the float64 full register, row by row."""
+        """The replay on the float64 full register, scattered from a sector."""
+        if self._sector is None:
+            return self._replay(circuit, extra_steps)
         full = np.zeros((len(extra_steps), 1 << self.n_qubits))
         full[:, self._dets] = self._replay(circuit, extra_steps)
         return full

@@ -15,7 +15,10 @@ conveniences (``prepare_determinant``, ``expectation_exact``,
 kernels, real or complex ones exactly and real ones by sampling.  The
 fermionic device oracles are built on ``apply_key_to_det`` and share no code
 with ``fermion.term_action``, the kernel they check; the Pauli one keeps the
-complex step that the real replay replaced.
+complex step that the real replay replaced.  ``pauli_step_flat`` and
+``fermionic_step_two_pass`` keep the float64 steps that the shaped Pauli maps
+and the gather-only fermionic closed form replaced, the oracles for their
+bits.
 """
 
 import hashlib
@@ -463,6 +466,42 @@ def pauli_rotation_loop(state, gen, theta):
     factor = np.where(np.bitwise_count(src & z) & 1, -1, 1)
     turn = 1j * math.sin(theta) * (1j) ** ((x & z).bit_count() & 3)
     return math.cos(theta) * state + turn * (factor * state[src])
+
+
+def pauli_step_flat(state, gen, theta):
+    """The float64 Pauli step before maps took the state's shape: a flat map
+    of ``state.size`` entries with an int8 +-1 factor, two multiplies, then
+    the cosine term over the raveled state."""
+    if theta == 0.0:
+        return state.copy()
+    x, z = gen.key
+    src = (np.arange(state.size) ^ x).astype(np.int32)
+    factor = np.where(np.bitwise_count(src & z) & 1, -1, 1).astype(np.int8)
+    out = state.take(src)
+    out *= factor
+    out *= -math.sin(theta)
+    out += math.cos(theta) * state.ravel()
+    return out.reshape(state.shape)
+
+
+def fermionic_step_two_pass(state, gen, theta, sector=None):
+    """The fermionic step before the gather-only closed form: A and then A^2
+    each one gather/scatter over the generator's signed map into zeros, then
+    state + sin(theta) A s + (1 - cos(theta)) A^2 s summed left to right."""
+    if theta == 0.0:
+        return state.copy()
+    n = state.shape[-1]
+    sector = sector or statevector.Sector(n.bit_length() - 1)
+    out, src, weight = statevector._rotation_map(gen, sector, state.size // n)
+    a1 = np.zeros_like(state)
+    a1.put(out, weight * state.take(src))
+    a2 = np.zeros_like(state)
+    a2.put(out, weight * a1.take(src))
+    a1 *= math.sin(theta)
+    a1 += state
+    a2 *= 1.0 - math.cos(theta)
+    a1 += a2
+    return a1
 
 
 # ---------------------------------------------------------------------------

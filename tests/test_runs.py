@@ -353,20 +353,40 @@ class TestStageFailures:
         # the circuit: from the sixth lookup on the string's factors are 1%
         # too large
         real = statevector._pauli_map
-        dims = []
+        shapes = []
 
-        def drifting(key, dim):
-            dims.append(dim)
-            src, factor = real(key, dim)
-            return src, factor * 1.01 if len(dims) > 5 else factor
+        def drifting(key, shape):
+            shapes.append(shape)
+            src, factor = real(key, shape)
+            return src, factor * 1.01 if len(shapes) > 5 else factor
 
         monkeypatch.setattr(statevector, "_pauli_map", drifting)
         with pytest.raises(QJRunError) as info:
             run_quantum_jacobi(h4, RunConfig(method="pqj", epsilon=1e-4, max_cycles=10))
-        assert set(dims) == {1 << h4.n_qubits, 2 << h4.n_qubits}
+        assert set(shapes) == {(1 << h4.n_qubits,), (2, 1 << h4.n_qubits)}
         trace = info.value.trace
         assert len(trace.records) == 3
         assert trace.termination.startswith("backend_error: statevector norm drifted")
+        assert len(trace.final_circuit) == 2
+
+    def test_nan_in_the_replay_is_a_norm_drift(self, h4, monkeypatch):
+        # the sector map's weights turn NaN from the sixth lookup on: the
+        # per-step norm check reports it, before any expectation value does
+        real = statevector._rotation_map
+        lookups = []
+
+        def poisoned(gen, sector, rows):
+            lookups.append(rows)
+            out, src, weight = real(gen, sector, rows)
+            return out, src, weight * np.nan if len(lookups) > 5 else weight
+
+        monkeypatch.setattr(statevector, "_rotation_map", poisoned)
+        with pytest.raises(QJRunError) as info:
+            run_quantum_jacobi(h4, RunConfig(method="cfqj", epsilon=1e-4, kappa=1e-3,
+                                             max_cycles=10))
+        trace = info.value.trace
+        assert len(trace.records) == 3
+        assert trace.termination.startswith("backend_error: statevector norm drifted to nan")
         assert len(trace.final_circuit) == 2
 
     def test_non_finite_expectation_aborts_cli_run(self, monkeypatch, capsys):

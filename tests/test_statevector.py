@@ -19,8 +19,9 @@ from qjacobi.statevector import (Circuit, GivensStep, Sector, StatevectorBackend
                                  apply_circuit, apply_fermionic_rotation, apply_pauli_rotation,
                                  apply_step, compile_operator, compile_sampled)
 from support import (apply_excitation, dense_matrix, embed_in_full_space, expectation_exact,
-                     expectation_sampled, fermionic_rotation_loop, fidelity, generator_operator,
-                     hf_energy, pauli_rotation_loop, prepare_determinant)
+                     expectation_sampled, fermionic_rotation_loop, fermionic_step_two_pass,
+                     fidelity, generator_operator, hf_energy, pauli_rotation_loop,
+                     pauli_step_flat, prepare_determinant)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -30,7 +31,7 @@ def apply_pauli_string(state, key):
     single-string kernel the sampled estimator and the Pauli replay are
     checked against."""
     x, z = key
-    src, factor = statevector._pauli_map(key, state.shape[0])
+    src, factor = statevector._pauli_map(key, state.shape)
     return (1j) ** ((x & z).bit_count() & 3) * factor * state[src]
 
 
@@ -393,6 +394,18 @@ class TestStackedReplay:
         with pytest.raises(FloatingPointError, match="norm drifted"):
             apply_step(stack, step, sector)
 
+    @pytest.mark.parametrize("flavor", [FermionGenerator, PauliGenerator])
+    def test_nan_in_a_lone_state_or_the_second_row_raises(self, h4, flavor):
+        # a NaN norm fails the check: abs(nan - 1) > tol would be False
+        step = _circuit(h4, flavor).steps[0]
+        sector = Sector(h4.n_qubits, h4.n_electrons) if flavor is FermionGenerator else None
+        stack = _random_stack(2, statevector._sector_dets(sector or Sector(h4.n_qubits)).size, 3)
+        stack[1, 5] = np.nan
+        apply_step(stack[0], step, sector)
+        for state in (stack[1], stack):
+            with pytest.raises(FloatingPointError, match="norm drifted to nan"):
+                apply_step(state, step, sector)
+
     @pytest.mark.parametrize("shots", [None, 100])
     def test_block_values_equal_lone_values(self, h4, shots):
         # the two block states of one stacked replay give the values, shot
@@ -509,7 +522,7 @@ class TestCompiledKernel:
         maps = (statevector._rotation_map(gen, Sector(4, 2), 2)
                 + statevector._rotation_map(gen, Sector(4), 1)
                 + statevector._signed_entries(gen, Sector(4, 2))
-                + statevector._pauli_map((0b0110, 0b0011), 16))
+                + statevector._pauli_map((0b0110, 0b0011), (2, 16)))
         for arr in maps:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -740,3 +753,62 @@ class TestRealReplay:
         state = backend.state(circuit, circuit.steps[0])
         assert dtypes == [np.float64, np.float64]
         assert state.dtype == np.float64
+
+
+@st.composite
+def kernel_cases(draw):
+    """A stack of one or two normalised real rows, some amplitudes +-0.0, and
+    a step at an angle: a fermionic step on the full register at n = 4 or 8 or
+    on the H4 or H6 sector, or a one-Y Pauli step on the full register."""
+    sector = draw(st.sampled_from((Sector(4), Sector(8), Sector(8, 4), Sector(12, 6))))
+    n = sector.n_qubits
+    if sector.n_particles is None and draw(st.booleans()):
+        x = draw(st.integers(1, (1 << n) - 1))
+        gen = PauliGenerator(x, draw(st.sampled_from([1 << q for q in range(n) if x >> q & 1])))
+    else:
+        r = draw(st.integers(1, min(3, n // 2)))
+        modes = draw(st.permutations(range(n)))
+        gen = FermionGenerator((tuple(sorted(modes[:r])), tuple(sorted(modes[r:2 * r]))),
+                               draw(st.sampled_from((1, -1))))
+    theta = draw(st.sampled_from((math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4,
+                                  1e-9, -1e-9, -0.7)) | st.floats(-math.pi, math.pi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=(draw(st.integers(1, 2)), statevector._sector_dets(sector).size))
+    zero = rng.random(v.shape) < draw(st.sampled_from((0.0, 0.5, 0.9)))
+    zero[:, 0] = False
+    v[zero] = np.copysign(0.0, v[zero])
+    return gen, theta, sector, v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _bits(state):
+    return state.view(np.int64).tolist()
+
+
+class TestKernelBits:
+    """The shaped Pauli step and the gather-only fermionic step give every bit
+    of the steps they replaced, signed zeros included."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(kernel_cases())
+    def test_step_bits_equal_the_replaced_step(self, case):
+        gen, theta, sector, stack = case
+        for state in (stack, stack[0]):
+            if isinstance(gen, PauliGenerator):
+                out, oracle = apply_pauli_rotation(state, gen, theta), pauli_step_flat(state, gen, theta)
+            else:
+                out = apply_fermionic_rotation(state, gen, theta, sector)
+                oracle = fermionic_step_two_pass(state, gen, theta, sector)
+            assert out.dtype == np.float64 and out.shape == state.shape
+            assert _bits(out) == _bits(oracle)
+
+    @pytest.mark.parametrize("sector", [Sector(4), Sector(4, 1)])
+    def test_negative_zero_off_the_rotation_turns_positive(self, sector):
+        # a+_1 a_0 rotates |0001> and |0010> only; the two-pass sum adds +0.0
+        # to every other amplitude, so -0.0 there comes out as +0.0
+        gen = FermionGenerator(((1,), (0,)), 1)
+        dets = statevector._sector_dets(sector).tolist()
+        state = np.full(len(dets), -0.0)
+        state[dets.index(1)], state[dets.index(2)] = 0.6, 0.8
+        out = apply_fermionic_rotation(state, gen, 0.3, sector)
+        assert _bits(out) == _bits(fermionic_step_two_pass(state, gen, 0.3, sector))
+        assert not np.any(np.signbit(np.delete(out, [dets.index(1), dets.index(2)])))
