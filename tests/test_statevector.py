@@ -794,7 +794,8 @@ class TestKernelBits:
         gen, theta, sector, stack = case
         for state in (stack, stack[0]):
             if isinstance(gen, PauliGenerator):
-                out, oracle = apply_pauli_rotation(state, gen, theta), pauli_step_flat(state, gen, theta)
+                out = apply_pauli_rotation(state, gen, theta)
+                oracle = pauli_step_flat(state, gen, theta)
             else:
                 out = apply_fermionic_rotation(state, gen, theta, sector)
                 oracle = fermionic_step_two_pass(state, gen, theta, sector)
@@ -803,12 +804,14 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("sector", [Sector(4), Sector(4, 1)])
     def test_negative_zero_off_the_rotation_turns_positive(self, sector):
-        # a+_1 a_0 rotates |0001> and |0010> only; the two-pass sum adds +0.0
-        # to every other amplitude, so -0.0 there comes out as +0.0
+        # a+_1 a_0 rotates the determinants whose modes 0 and 1 differ; the
+        # two-pass sum adds +0.0 to every other amplitude, so -0.0 there
+        # comes out as +0.0
         gen = FermionGenerator(((1,), (0,)), 1)
-        dets = statevector._sector_dets(sector).tolist()
-        state = np.full(len(dets), -0.0)
-        state[dets.index(1)], state[dets.index(2)] = 0.6, 0.8
+        dets = statevector._sector_dets(sector)
+        state = np.full(dets.size, -0.0)
+        state[dets == 1], state[dets == 2] = 0.6, 0.8
         out = apply_fermionic_rotation(state, gen, 0.3, sector)
         assert _bits(out) == _bits(fermionic_step_two_pass(state, gen, 0.3, sector))
-        assert not np.any(np.signbit(np.delete(out, [dets.index(1), dets.index(2)])))
+        still = (dets & 1) == (dets >> 1 & 1)
+        assert still.any() and not np.any(np.signbit(out[still]))
