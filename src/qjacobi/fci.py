@@ -1,46 +1,20 @@
 """Brute-force ground truth: determinant bases, the FCI matrix, exact eigensolve.
 
-The FCI matrix holds the Hamiltonian compiled over the basis by
-``statevector.compile_operator``, the compile the device measures with, whose
-entries and signs come from ``fermion.term_action``, the kernel behind the
-residual.  It is real, so it is built and diagonalised in float64.
+A basis is a sector of ``statevector.sector_dets`` and the FCI matrix holds
+the entries of ``statevector.operator_entries``, both as the device has them.
+The matrix is real, so it is built and diagonalised in float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .hamiltonian import MolecularProblem
-from .statevector import compile_operator
+from .statevector import Sector, operator_entries, sector_dets
 
 _HERM_TOL = 1e-10
-
-
-def enumerate_determinants(n_qubits: int, n_electrons: int, sz: float | None = None) -> tuple[int, ...]:
-    """All occupation bitstrings with the given electron count, lexicographic.
-
-    With ``sz`` given (in units of hbar, alpha = even bits), the alpha/beta
-    split is fixed to n_alpha - n_beta = 2 sz.
-    """
-    if sz is None:
-        dets = (sum(1 << q for q in c) for c in combinations(range(n_qubits), n_electrons))
-        return tuple(sorted(dets))
-    twice_sz = round(2 * sz)
-    if (n_electrons + twice_sz) % 2 or abs(twice_sz) > n_electrons:
-        raise ValueError("sz incompatible with electron count")
-    n_alpha = (n_electrons + twice_sz) // 2
-    n_beta = n_electrons - n_alpha
-    alphas = range(0, n_qubits, 2)
-    betas = range(1, n_qubits, 2)
-    dets = []
-    for ca in combinations(alphas, n_alpha):
-        bits_a = sum(1 << q for q in ca)
-        for cb in combinations(betas, n_beta):
-            dets.append(bits_a + sum(1 << q for q in cb))
-    return tuple(sorted(dets))
 
 
 @dataclass(frozen=True)
@@ -55,7 +29,14 @@ class DeterminantBasis:
 
     @classmethod
     def build(cls, n_qubits: int, n_electrons: int, sz: float | None = None) -> "DeterminantBasis":
-        return cls(enumerate_determinants(n_qubits, n_electrons, sz))
+        """The basis of ``n_electrons``, with n_alpha - n_beta = 2 ``sz`` if given."""
+        n_alpha = None
+        if sz is not None:
+            twice_sz = round(2 * sz)
+            if (n_electrons + twice_sz) % 2 or abs(twice_sz) > n_electrons:
+                raise ValueError("sz incompatible with electron count")
+            n_alpha = (n_electrons + twice_sz) // 2
+        return cls(tuple(sector_dets(Sector(n_qubits, n_electrons, n_alpha)).tolist()))
 
 
 def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -83,8 +64,8 @@ def fci_matrix(op, basis: DeterminantBasis) -> np.ndarray:
     outside the basis are dropped (the sector projection).
     """
     matrix = np.diag(np.full(len(basis.determinants), op.constant))
-    sparse = compile_operator(op, np.array(basis.determinants, dtype=np.uint64))
-    np.add.at(matrix, (sparse.rows, sparse.cols), sparse.vals)
+    rows, cols, vals = operator_entries(op, np.array(basis.determinants, dtype=np.uint64))
+    np.add.at(matrix, (rows, cols), vals)
     return matrix
 
 

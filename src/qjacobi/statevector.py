@@ -8,22 +8,19 @@ rotates; a Pauli rotation applies e^{i theta P} = cos(theta) - sin(theta) P'
 as one gather, where P = i P' for a generator's X-string with one Y and P' is
 a real signed permutation.
 
-Each fermionic generator or Pauli string acts through a determinant map
-computed once and cached.  Fermionic circuits never leave the reference's
-particle-number sector (70 of 256 amplitudes on H4, 924 of 4,096 on H6), so a
-backend for them replays states there.  A 2x2 block's two states replay as
-one stacked array through stacked maps, each row bit-identical to a lone
-replay.  A backend compiles its fermionic Hamiltonian once into term-ordered
-sparse arrays over the determinants it replays, for exact values, or its
-Jordan-Wigner image into gather tables (one row per X mask) in draw order for
-sampled ones.  An exact value is one exactly rounded sum over the float64
-replay, so no summation order reaches it; a sampled one sums each string's
-products over the full register with numpy's pairwise sum, whose order
-numpy's C source fixes.  Neither measurement holds a complex array or calls
-BLAS.  One compiler, ``compile_operator``, gives the Hamiltonian and the
-fermionic maps their entries and signs through ``fermion.term_action``, the
-kernel behind ``FermionOperator.act``, and keeps the floating-point operations
-of the term-by-term action, so every amplitude of H|s> is bit-identical to it.
+Each generator or string acts through a cached determinant map.  An FCIDUMP
+Hamiltonian and every generator a run builds conserve N and S_z, so a
+fermionic backend replays on the reference's (N, S_z) sector (36 of 256
+amplitudes on H4, 400 of 4,096 on H6).  A 2x2 block's two states replay as
+one stack, each row bit-identical to a lone replay.  Exact values measure
+the replay through the Hamiltonian compiled once into a padded row table,
+as one exactly rounded sum, so no summation order or zero amplitude reaches
+them; sampled ones sum each string's products over the full register with
+numpy's pairwise sum (gather tables, one row per X mask, in draw order).
+Neither holds a complex array or calls BLAS.  One compiler,
+``operator_entries``, gives the Hamiltonian, the FCI matrix and the fermionic
+maps their entries and signs through ``fermion.term_action``, and the row
+table keeps the floating-point operations of the term-by-term action.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -79,14 +77,13 @@ _MAX_QUBITS = 32
 
 # Maps per cache: room for the generators of a long circuit.
 _MAP_CACHE_SIZE = 2048
+_ALPHA = 0x5555_5555_5555_5555  # the alpha spin orbitals: even bits, as in ``hamiltonian``
 
 
 @lru_cache(maxsize=4)
 def _register(dim: int) -> np.ndarray:
     """Every determinant of a 2^n register, read-only."""
-    idx = np.arange(dim, dtype=np.uint64)
-    idx.setflags(write=False)
-    return idx
+    return _read_only(np.arange(dim, dtype=np.uint64))[0]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -96,20 +93,29 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class Sector(NamedTuple):
-    """The determinants of ``n_qubits`` holding ``n_particles`` electrons, or
-    all of them when that is None; a state on a sector lists their amplitudes
-    in increasing order."""
+    """The determinants of ``n_qubits`` with ``n_particles`` electrons, ``n_alpha``
+    on the even (alpha) bits, each if not None; a state on a sector lists
+    their amplitudes in increasing order."""
 
     n_qubits: int
     n_particles: int | None = None
+    n_alpha: int | None = None
 
 
 @lru_cache(maxsize=8)
-def _sector_dets(sector: Sector) -> np.ndarray:
-    register = _register(1 << sector.n_qubits)
-    if sector.n_particles is None:
-        return register
-    return _read_only(register[np.bitwise_count(register) == sector.n_particles])[0]
+def sector_dets(sector: Sector) -> np.ndarray:
+    """``sector``'s ascending uint64 determinants, read-only, each spin's
+    occupations enumerated apart: up to 64 modes, with no 2^n register."""
+    n, k, n_alpha = sector
+    if k is None:
+        return _register(1 << n)
+    spins = ([(range(n), k)] if n_alpha is None else
+             [(range(0, n, 2), n_alpha), (range(1, n, 2), k - n_alpha)])
+    dets = np.zeros(1, np.uint64)
+    for modes, m in spins:
+        masks = [sum(1 << q for q in c) for c in combinations(modes, m)] if m >= 0 else []
+        dets = (dets[:, None] | np.array(masks, np.uint64)).ravel()
+    return _read_only(np.sort(dets))[0]
 
 
 def _pauli_parity(z, dets: np.ndarray) -> np.ndarray:
@@ -133,24 +139,22 @@ def _pauli_map(key, shape: tuple[int, ...]):
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """An operator as term-ordered COO entries over a list of determinants,
-    plus a constant.
+    """An operator over a list of determinants as a padded row table, plus a
+    constant: (op s)[i] = sum_d vals[d, i] s[cols[d, i]] + constant s[i].
 
-    Entry i adds ``vals[i] * state[cols[i]]`` to row ``rows[i]``, both
-    positions in that list.  Entries are concatenated in term order and a term
-    hits each row at most once, so every row sums its contributions in the
-    same order as applying one term after another: the result is
-    bit-identical to the term-wise action.
+    Column i lists row i's entries in term order, then zero-weight pads on
+    its own position.  ``np.add.reduce`` down axis 0 adds each amplitude's
+    products in that order from +0.0, as the term-wise action does, and a
+    sum begun at +0.0 is never -0.0, so no pad changes a bit of a finite
+    result.  A table is never one column wide: numpy sums that pairwise.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
     vals: np.ndarray
+    cols: np.ndarray
     constant: float
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(state)
-        np.add.at(acc, self.rows, self.vals * state[self.cols])
+        acc = np.add.reduce(self.vals * state[self.cols], axis=0, initial=0.0)[:state.size]
         if self.constant:
             acc += self.constant * state
         return acc
@@ -159,15 +163,11 @@ class SparseOperator:
 _COMPILE_BLOCK = 1 << 14  # (term, column) pairs a compile forms at once
 
 
-def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
-    """The COO form of ``op`` on the ascending uint64 determinants ``dets``,
-    rows and columns as int32 positions in ``dets``.
-
-    Entries come by blocks of terms through ``term_action``, in term, then
-    column order.  Rows are found by bisection; an entry whose row lies
-    outside ``dets`` is dropped (the projection onto their span), which
-    leaves <s|op|s> unchanged for a state supported on ``dets``.
-    """
+def operator_entries(op: FermionOperator, dets: np.ndarray):
+    """``op`` on the ascending uint64 determinants ``dets`` as COO entries
+    ``(rows, cols, vals)``, int32 positions in ``dets``, in term, then column
+    order, signed through ``term_action``; entries whose row lies outside
+    ``dets`` are dropped (the projection onto their span)."""
     step = max(1, _COMPILE_BLOCK // (dets.size or 1))
     parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
     for lo in range(0, op.coeffs.size, step):
@@ -180,15 +180,38 @@ def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
         c = op.coeffs[lo + term[inside]]
         parts.append((row[inside].astype(np.int32), col[inside].astype(np.int32),
                       np.where(odd[hit][inside], -c, c)))
-    return SparseOperator(*map(np.concatenate, zip(*parts)), op.constant)
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
+    """``op`` on ``dets`` as a row table: each entry at its rank in its row,
+    which a stable (radix) sort by row keeps in term order; intp columns, as
+    numpy gathers through int32 at half the speed."""
+    rows, cols, vals = operator_entries(op, dets)
+    width = dets.size + (dets.size == 1)
+    counts = np.bincount(rows, minlength=width)
+    order = np.argsort(rows.astype(np.min_scalar_type(width)), kind="stable")
+    row = rows[order].astype(np.intp)
+    at = (np.arange(rows.size) - (np.cumsum(counts) - counts)[row], row)
+    table = np.zeros((counts.max(initial=0), width))
+    table[at] = vals[order]
+    index = np.repeat(np.minimum(np.arange(width), dets.size - 1)[None], table.shape[0], axis=0)
+    index[at] = cols[order]
+    return SparseOperator(*_read_only(table, index), op.constant)
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _signed_entries(gen: FermionGenerator, sector: Sector):
-    """``_rotation_map``'s one-row entries, compiled once for every row count."""
-    e = compile_operator(FermionOperator({gen.excitation: gen.sign}), _sector_dets(sector))
-    return _read_only(np.concatenate((e.rows, e.cols)), np.concatenate((e.cols, e.rows)),
-                      np.concatenate((e.vals, -e.vals)).astype(np.int8))
+    """``_rotation_map``'s one-row entries, compiled once for every row count;
+    ValueError for a generator that moves an electron between spins on an
+    S_z sector, whose entries the compile would all drop."""
+    cre, ann = gen.excitation
+    if sector.n_alpha is not None and sum(q & 1 for q in cre) != sum(q & 1 for q in ann):
+        raise ValueError(f"generator {gen.excitation} leaves the S_z sector")
+    rows, cols, vals = operator_entries(FermionOperator({gen.excitation: gen.sign}),
+                                        sector_dets(sector))
+    return _read_only(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                      np.concatenate((vals, -vals)).astype(np.int8))
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
@@ -199,13 +222,14 @@ def _rotation_map(gen: FermionGenerator, sector: Sector, rows: int):
 
     The entries are the compiled s E, then its transpose negated: E and E+
     have disjoint sources and targets, so each weight is the one nonzero term
-    of s(E - E+).  A generator rotates at most 2^(n-1) of 2^n determinants,
-    each one entry per row of two int32 positions and an int8 weight: with
-    rows <= 2 the cache holds at most _MAP_CACHE_SIZE * 9 * 2^n bytes, 72 MiB
-    at 12 qubits, and the one-row compiles at most half as much again.
+    of s(E - E+).  An entry per row is two int32 positions and an int8
+    weight, at most 2^(n-1) per row on the register and S on a sector of S:
+    with rows <= 2 the cache holds at most _MAP_CACHE_SIZE * 9 * 2^n bytes, 72
+    MiB at 12 qubits, or _MAP_CACHE_SIZE * 18 * S, 14 MiB on the H6 S_z
+    sector (S = 400); the one-row compiles hold at most half as much again.
     """
     out, src, weight = _signed_entries(gen, sector)
-    shift = np.arange(rows, dtype=np.int32)[:, None] * np.int32(_sector_dets(sector).size)
+    shift = np.arange(rows, dtype=np.int32)[:, None] * np.int32(sector_dets(sector).size)
     return _read_only((out + shift).ravel(), (src + shift).ravel(), np.tile(weight, rows))
 
 
@@ -240,15 +264,13 @@ def apply_pauli_rotation(state: np.ndarray, gen: PauliGenerator, theta: float) -
 
 def apply_fermionic_rotation(state: np.ndarray, gen: FermionGenerator, theta: float,
                              sector: Sector | None = None) -> np.ndarray:
-    """e^{theta A} state through the closed form, exact for A^3 = -A.
+    """e^{theta A} state through the closed form, exact for A^3 = -A, on
+    ``sector`` (each row of a stack), or on the full register if that is None.
 
-    ``state``, or each row of a stack, lists the amplitudes of ``sector``, or
-    of the full register when that is None.  A's sources and targets are
-    disjoint and its weights +-1, so A^2 = -1 on the rotated amplitudes: two
-    gathers and one scatter round as s + sin(theta) A s + (1 - cos(theta))
-    A^2 s summed left to right, ``+ 0.0`` turning -0.0 to +0.0 elsewhere as
-    that sum does.  The norm check sums over these amplitudes only, so on a
-    sector its value can differ from the full register's in the last bits.
+    A's sources and targets are disjoint and its weights +-1, so A^2 = -1 on
+    the rotated amplitudes: two gathers and one scatter round as s + sin A s
+    + (1 - cos) A^2 s summed left to right, ``+ 0.0`` turning -0.0 to +0.0
+    elsewhere as that sum does.  The norm check sums these amplitudes only.
     """
     if theta == 0.0:
         return state.copy()
@@ -281,10 +303,9 @@ def apply_circuit(state: np.ndarray, circuit: Circuit,
 
 
 def expectation_exact(op: SparseOperator, state: np.ndarray) -> float:
-    """<s|H|s> for a real ``state`` listing the amplitudes of the
-    determinants ``op`` was compiled over: one exactly rounded sum
-    (``math.fsum``), so its value does not depend on the summation order or
-    on which zero amplitudes the state lists."""
+    """<s|H|s> for a real ``state`` on the determinants ``op`` was compiled
+    over: one exactly rounded sum (``math.fsum``), so neither the summation
+    order nor the zero amplitudes the state lists change it."""
     return math.fsum((state * op.apply(state)).tolist())
 
 
@@ -344,14 +365,11 @@ def compile_sampled(op: PauliOperator, dim: int) -> SampledOperator:
 
 def expectation_sampled(op: SampledOperator, state: np.ndarray, shots_per_term: int,
                         rng: np.random.Generator) -> float:
-    """Per-term two-point sampling of <s|H|s> on the full register.
-
-    Every non-identity string contributes the mean of ``shots_per_term``
-    independent +-1 outcomes drawn with the exact probabilities; identity
-    terms are added exactly.  The simulated budget is shots_per_term x term
-    count.  The draws come from one binomial call over the strings in draw
-    order, and the total adds the contributions one by one in that order.
-    """
+    """Per-term two-point sampling of <s|H|s> on the full register: each
+    non-identity string adds the mean of ``shots_per_term`` +-1 outcomes
+    drawn with the exact probabilities, the identity is added exactly.  One
+    binomial call draws over the strings in draw order, and the total adds
+    the contributions one by one in that order."""
     if shots_per_term < 1:
         raise ValueError("shots_per_term must be >= 1")
     half = 0.5 * (1.0 + op.means(state))
@@ -368,16 +386,14 @@ def expectation_sampled(op: SampledOperator, state: np.ndarray, shots_per_term: 
 class StatevectorBackend:
     """One run's simulated device: reference prep, circuit, measurement.
 
-    With ``shots_per_term`` unset, expectation values are exact and ``rng``
-    may be None; otherwise they are sampled per Pauli term of the
-    Jordan-Wigner mapped Hamiltonian, drawing from the Generator ``rng``.
-    Counters keep the expectation-value and shot tallies for the run trace.
+    With ``shots_per_term`` unset, expectation values are exact; otherwise
+    they are sampled per Pauli term of the Jordan-Wigner mapped Hamiltonian
+    from the Generator ``rng``.  Counters keep the value and shot tallies.
 
-    A ``fermionic`` backend takes circuits of fermionic steps only and
-    replays them on the reference's particle-number sector; other backends
-    replay on the full register.  The exact Hamiltonian is compiled over the
-    determinants of the replay and measured on it directly; a sampled value
-    and ``state`` scatter the replay to the float64 full register.
+    A ``fermionic`` backend replays circuits of fermionic steps on the
+    reference's (N, S_z) sector, or on its N sector if the Hamiltonian does
+    not conserve S_z; others replay on the full register.  Exact values
+    measure the replay; sampled ones and ``state`` scatter it to the register.
     """
 
     def __init__(self, n_qubits: int, reference: int, hamiltonian: FermionOperator,
@@ -397,8 +413,11 @@ class StatevectorBackend:
         self.expectation_count = 0
         self.shots_used = 0
         self._strings: SampledOperator | None = None
-        self._sector = Sector(n_qubits, reference.bit_count()) if fermionic else None
-        self._dets = _sector_dets(self._sector or Sector(n_qubits))
+        keeps_sz = np.array_equal(*(np.bitwise_count(a & np.uint64(_ALPHA))
+                                    for a in (hamiltonian.cre, hamiltonian.ann)))
+        n_alpha = (reference & _ALPHA).bit_count() if keeps_sz else None
+        self._sector = Sector(n_qubits, reference.bit_count(), n_alpha) if fermionic else None
+        self._dets = sector_dets(self._sector or Sector(n_qubits))
         self._start, = _read_only((self._dets == reference).astype(np.float64))
         self._exact_h: SparseOperator | None = None
 

@@ -405,6 +405,19 @@ def expectation_exact(op, state):
     return sum(statevector.expectation_exact(sparse, part) for part in (state.real, state.imag))
 
 
+def apply_add_at(entries, constant, state):
+    """op . state from op's COO ``entries`` (``statevector.operator_entries``)
+    and constant: the products scattered with ``np.add.at`` into +0.0, which
+    sums each row in entry order, then the constant term.  The compiled
+    kernel before its row table, kept as the table's bit-exact oracle."""
+    rows, cols, vals = entries
+    acc = np.zeros_like(state)
+    np.add.at(acc, rows, vals * state[cols])
+    if constant:
+        acc += constant * state
+    return acc
+
+
 def expectation_sampled(op, state, shots_per_term, rng):
     """The sampled estimator for a PauliOperator, compiled on the state's
     register, with a seed or a Generator.  It measures real states; a complex

@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qjacobi.fci import (DeterminantBasis, enumerate_determinants, fci_ground_state, fci_matrix,
-                         ground_state)
+from qjacobi.fci import DeterminantBasis, fci_ground_state, fci_matrix, ground_state
 from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
 from qjacobi.hamiltonian import MolecularProblem, build_hamiltonian
@@ -12,16 +11,25 @@ from qjacobi.statevector import compile_operator
 from support import dense_matrix, embed_in_full_space, expectation_exact, hf_energy
 
 
+def enumerate_determinants(n_qubits, n_electrons, sz=None):
+    return DeterminantBasis.build(n_qubits, n_electrons, sz).determinants
+
+
 def test_enumeration_counts():
     assert len(enumerate_determinants(4, 2)) == 6
     assert len(enumerate_determinants(4, 2, sz=0)) == 4
     assert len(enumerate_determinants(12, 6)) == 924
+    assert len(enumerate_determinants(12, 6, sz=0)) == 400
 
 
 def test_enumeration_lexicographic():
     dets = enumerate_determinants(4, 2)
     assert list(dets) == sorted(dets)
     assert all(d.bit_count() == 2 for d in dets)
+    # the S_z basis is the N basis filtered on the alpha (even) bits
+    alpha = 0b0101_0101
+    assert enumerate_determinants(8, 4, sz=1.0) == tuple(
+        d for d in enumerate_determinants(8, 4) if (d & alpha).bit_count() == 3)
 
 
 def test_sz_restriction():
@@ -122,7 +130,7 @@ class TestCompiledMatrix:
         # no determinant: the empty compile and a 0 x 0 matrix
         op = FermionOperator({((1,), (0,)): 0.5, ((0,), (0,)): 2.0}, constant=1.0)
         sparse = compile_operator(op, np.empty(0, np.uint64))
-        assert sparse.rows.size == sparse.cols.size == sparse.vals.size == 0
+        assert sparse.cols.size == sparse.vals.size == 0
         assert fci_matrix(op, DeterminantBasis(())).shape == (0, 0)
 
     def test_rows_outside_the_basis_dropped(self):

@@ -341,10 +341,33 @@ class TestStageFailures:
         with pytest.raises(QJRunError) as info:
             run_quantum_jacobi(h4, RunConfig(method="cfqj", epsilon=1e-4, kappa=1e-3,
                                              max_cycles=10))
-        assert set(sectors) == {Sector(h4.n_qubits, h4.n_electrons)}
+        assert set(sectors) == {Sector(h4.n_qubits, h4.n_electrons, 2)}
         trace = info.value.trace
         assert len(trace.records) == 3
         assert trace.termination.startswith("backend_error: statevector norm drifted")
+        assert len(trace.final_circuit) == 2
+
+    def test_spin_flip_generator_is_a_backend_error(self, h4, monkeypatch):
+        # the run replays on the (N, S_z) sector; a generator injected at
+        # cycle 3 that moves a beta electron (mode 1) to an alpha orbital
+        # (mode 4) would leave it, and its map compile refuses it
+        real = jacobi.generator_from_determinant
+        calls = []
+
+        def spin_flip_on_third_call(phi0, pick, flavor):
+            calls.append(pick)
+            if len(calls) == 3:
+                return flavor.from_determinants(phi0, phi0 ^ 0b10010)
+            return real(phi0, pick, flavor)
+
+        monkeypatch.setattr(jacobi, "generator_from_determinant", spin_flip_on_third_call)
+        with pytest.raises(QJRunError) as info:
+            run_quantum_jacobi(h4, RunConfig(method="cfqj", epsilon=1e-4, kappa=1e-3,
+                                             max_cycles=10))
+        trace = info.value.trace
+        assert len(trace.records) == 3
+        assert trace.termination == ("backend_error: generator ((4,), (1,)) leaves the "
+                                     "S_z sector")
         assert len(trace.final_circuit) == 2
 
     def test_norm_drift_on_the_full_register_is_a_backend_error(self, h4, monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, Sector, StatevectorBackend,
                                  apply_circuit, apply_fermionic_rotation, apply_pauli_rotation,
                                  apply_step, compile_operator, compile_sampled)
-from support import (apply_excitation, dense_matrix, embed_in_full_space, expectation_exact,
+from support import (apply_add_at, apply_excitation, dense_matrix, embed_in_full_space, expectation_exact,
                      expectation_sampled, fermionic_rotation_loop, fermionic_step_two_pass,
                      fidelity, generator_operator, hf_energy, pauli_rotation_loop,
                      pauli_step_flat, prepare_determinant)
@@ -379,7 +380,7 @@ class TestStackedReplay:
         steps = _circuit(problem, FermionGenerator).steps
         circuit = Circuit(steps + (GivensStep(steps[0].generator, 0.0),))
         sector = Sector(problem.n_qubits, problem.n_electrons)
-        stack = _random_stack(2, statevector._sector_dets(sector).size, 7)
+        stack = _random_stack(2, statevector.sector_dets(sector).size, 7)
         out = apply_circuit(stack, circuit, sector)
         assert out.tolist() == [apply_circuit(row, circuit, sector).tolist() for row in stack]
 
@@ -387,7 +388,7 @@ class TestStackedReplay:
     def test_drift_in_second_row_alone_raises(self, h4, flavor):
         step = _circuit(h4, flavor).steps[0]
         sector = Sector(h4.n_qubits, h4.n_electrons) if flavor is FermionGenerator else None
-        stack = _random_stack(2, statevector._sector_dets(sector or Sector(h4.n_qubits)).size, 3)
+        stack = _random_stack(2, statevector.sector_dets(sector or Sector(h4.n_qubits)).size, 3)
         apply_step(stack, step, sector)
         stack[1] *= 1.0 + 1e-8
         apply_step(stack[0], step, sector)
@@ -399,7 +400,7 @@ class TestStackedReplay:
         # a NaN norm fails the check: abs(nan - 1) > tol would be False
         step = _circuit(h4, flavor).steps[0]
         sector = Sector(h4.n_qubits, h4.n_electrons) if flavor is FermionGenerator else None
-        stack = _random_stack(2, statevector._sector_dets(sector or Sector(h4.n_qubits)).size, 3)
+        stack = _random_stack(2, statevector.sector_dets(sector or Sector(h4.n_qubits)).size, 3)
         stack[1, 5] = np.nan
         apply_step(stack[0], step, sector)
         for state in (stack[1], stack):
@@ -459,7 +460,7 @@ class TestBackend:
                                      fermionic=True)
         circuit = _circuit(h4, FermionGenerator)
         replay = backend._replay(circuit, (None,))
-        assert replay.dtype == np.float64 and replay.shape == (1, 70)
+        assert replay.dtype == np.float64 and replay.shape == (1, 36)
         assert not backend._start.flags.writeable
         assert backend.expectation(circuit) == statevector.expectation_exact(
             backend.exact_hamiltonian(), replay[0])
@@ -478,31 +479,41 @@ def _problem(name):
     return build_hamiltonian(parse_fcidump((FIXTURES / files[name]).read_text()))
 
 
+def _alpha_count(det):
+    return (det & 0x5555_5555_5555_5555).bit_count()
+
+
 def _circuit(problem, flavor):
     """Givens steps of generator class ``flavor`` from |HF> to the four lowest
-    other determinants of its sector."""
+    other determinants of its sector: the (N, S_z) sector that a fermionic
+    backend replays on, or the N sector for Pauli steps."""
     hf = problem.hf_determinant
+    same_sz = flavor is FermionGenerator
     picks = [d for d in range(1 << problem.n_qubits)
-             if d.bit_count() == problem.n_electrons and d != hf][:4]
+             if d.bit_count() == problem.n_electrons and d != hf
+             and not (same_sz and _alpha_count(d) != _alpha_count(hf))][:4]
     return Circuit(tuple(GivensStep(flavor.from_determinants(hf, d), 0.3 + 0.2 * i)
                          for i, d in enumerate(picks)))
 
 
 class TestCompiledKernel:
-    # (sector, full register) COO entries of each fixture's Hamiltonian
-    SIZES = {"h2": (22, 60), "h4": (1892, 6336), "h6": (96012, 387072)}
+    # ((N, S_z) sector, N sector, full register) entries of each fixture's
+    # Hamiltonian, the nonzero weights of its table (no coefficient is 0)
+    SIZES = {"h2": (16, 22, 60), "h4": (1136, 1892, 6336), "h6": (46848, 96012, 387072)}
 
     @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
     def test_bit_identical_to_term_loop(self, name):
         problem = _problem(name)
         h = problem.hamiltonian
-        sector, full = self.SIZES[name]
+        sz_sector, n_sector, full = self.SIZES[name]
         inside = StatevectorBackend(problem.n_qubits, problem.hf_determinant, h, fermionic=True)
         circuit = _circuit(problem, FermionGenerator)
         state = inside.state(circuit)
         assert inside.expectation(circuit) == oracle_expectation(h, state)
         assert expectation_exact(h, state) == oracle_expectation(h, state)
-        assert inside.exact_hamiltonian().rows.size == sector
+        assert np.count_nonzero(inside.exact_hamiltonian().vals) == sz_sector
+        n_dets = statevector.sector_dets(Sector(problem.n_qubits, problem.n_electrons))
+        assert np.count_nonzero(compile_operator(h, n_dets).vals) == n_sector
 
         # Pauli rotations leave the particle-number sector: a backend that
         # is not fermionic compiles over the full register
@@ -515,7 +526,7 @@ class TestCompiledKernel:
         assert np.any(state[counts != problem.n_electrons])
         assert outside.expectation(circuit) == oracle_expectation(h, state)
         assert expectation_exact(h, state) == oracle_expectation(h, state)
-        assert outside.exact_hamiltonian().rows.size == full
+        assert np.count_nonzero(outside.exact_hamiltonian().vals) == full
 
     def test_cached_maps_read_only(self):
         gen = FermionGenerator(((2, 3), (0, 1)), -1)
@@ -537,12 +548,13 @@ class TestCompiledKernel:
         # the stacked map as it was built before the one-row compile was
         # cached: the compiled s E, its transpose negated, offset per row
         gen = FermionGenerator(((2, 3), (0, 1)), -1)
-        dets = statevector._sector_dets(sector)
-        e = compile_operator(FermionOperator({gen.excitation: gen.sign}), dets)
+        dets = statevector.sector_dets(sector)
+        e_rows, e_cols, e_vals = statevector.operator_entries(
+            FermionOperator({gen.excitation: gen.sign}), dets)
         shift = np.arange(0, rows * dets.size, dets.size, dtype=np.int32)[:, None]
-        expected = ((np.concatenate((e.rows, e.cols)) + shift).ravel(),
-                    (np.concatenate((e.cols, e.rows)) + shift).ravel(),
-                    np.tile(np.concatenate((e.vals, -e.vals)).astype(np.int8), rows))
+        expected = ((np.concatenate((e_rows, e_cols)) + shift).ravel(),
+                    (np.concatenate((e_cols, e_rows)) + shift).ravel(),
+                    np.tile(np.concatenate((e_vals, -e_vals)).astype(np.int8), rows))
         for got, want in zip(statevector._rotation_map(gen, sector, rows), expected, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -575,6 +587,35 @@ class TestCompiledKernel:
         warm = run_quantum_jacobi(h4, RunConfig(**cfg)).to_jsonl()
         assert statevector._rotation_map.cache_info().misses == misses
         assert warm == cold
+
+    def test_hamiltonian_breaking_sz_keeps_the_n_sector(self, h4):
+        # a+_0 a_1 + h.c. moves an electron between alpha 0 and beta 0: the
+        # backend replays on the N sector, and measures as the full register
+        h = h4.hamiltonian
+        broken = FermionOperator({**h.terms, ((0,), (1,)): 0.05, ((1,), (0,)): 0.05},
+                                 h.constant)
+        args = (h4.n_qubits, h4.hf_determinant, broken)
+        full, sector = StatevectorBackend(*args), StatevectorBackend(*args, fermionic=True)
+        assert sector._sector == Sector(h4.n_qubits, h4.n_electrons)
+        circuit = _circuit(h4, FermionGenerator)
+        for extra in (None, circuit.steps[0]):
+            assert sector.expectation(circuit, extra) == full.expectation(circuit, extra)
+        assert StatevectorBackend(h4.n_qubits, h4.hf_determinant, h,
+                                  fermionic=True)._sector == Sector(h4.n_qubits, h4.n_electrons, 2)
+
+    def test_spin_flip_generator_rejected_on_the_sz_sector(self, h4):
+        # beta mode 1 to alpha mode 4: on the (N, S_z) sector its compile
+        # would drop every entry, so the backend raises instead
+        backend = StatevectorBackend(h4.n_qubits, h4.hf_determinant, h4.hamiltonian,
+                                     fermionic=True)
+        flip = FermionGenerator.from_determinants(h4.hf_determinant, h4.hf_determinant ^ 0b10010)
+        with pytest.raises(ValueError, match=r"generator \(\(4,\), \(1,\)\) leaves the S_z"):
+            backend.expectation(Circuit(), GivensStep(flip, 0.3))
+        with pytest.raises(ValueError, match="leaves the S_z sector"):
+            backend.expectation(Circuit((GivensStep(flip, 0.3),)))
+        # on the N sector the same generator rotates as before
+        n_sector = Sector(h4.n_qubits, h4.n_electrons)
+        assert statevector._signed_entries(flip, n_sector)[0].size > 0
 
     @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
     def test_sector_replay_equals_full_register(self, name):
@@ -649,7 +690,9 @@ class TestKernelProperties:
         dets = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1)))
         sparse = compile_operator(op, np.array(dets, dtype=np.uint64))
         block = np.diag(np.full(len(dets), sparse.constant))
-        np.add.at(block, (sparse.rows, sparse.cols), sparse.vals)
+        rows = np.broadcast_to(np.arange(sparse.cols.shape[1]), sparse.cols.shape)
+        np.add.at(block, (rows[:, :len(dets)], sparse.cols[:, :len(dets)]),
+                  sparse.vals[:, :len(dets)])
         assert np.array_equal(block, dense_matrix(op, n)[np.ix_(dets, dets)].real)
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -722,7 +765,7 @@ class TestRealReplay:
     @given(real_steps())
     def test_float64_step_equals_complex_oracle(self, case):
         gen, theta, sector, seed = case
-        dets = statevector._sector_dets(sector)
+        dets = statevector.sector_dets(sector)
         v = np.random.default_rng(seed).normal(size=dets.size)
         v /= np.linalg.norm(v)
         full = np.zeros(1 << sector.n_qubits, dtype=complex)
@@ -773,7 +816,7 @@ def kernel_cases(draw):
     theta = draw(st.sampled_from((math.pi / 2, -math.pi / 2, math.pi / 4, -math.pi / 4,
                                   1e-9, -1e-9, -0.7)) | st.floats(-math.pi, math.pi))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    v = rng.normal(size=(draw(st.integers(1, 2)), statevector._sector_dets(sector).size))
+    v = rng.normal(size=(draw(st.integers(1, 2)), statevector.sector_dets(sector).size))
     zero = rng.random(v.shape) < draw(st.sampled_from((0.0, 0.5, 0.9)))
     zero[:, 0] = False
     v[zero] = np.copysign(0.0, v[zero])
@@ -808,10 +851,70 @@ class TestKernelBits:
         # two-pass sum adds +0.0 to every other amplitude, so -0.0 there
         # comes out as +0.0
         gen = FermionGenerator(((1,), (0,)), 1)
-        dets = statevector._sector_dets(sector)
+        dets = statevector.sector_dets(sector)
         state = np.full(dets.size, -0.0)
         state[dets == 1], state[dets == 2] = 0.6, 0.8
         out = apply_fermionic_rotation(state, gen, 0.3, sector)
         assert _bits(out) == _bits(fermionic_step_two_pass(state, gen, 0.3, sector))
         still = (dets & 1) == (dets >> 1 & 1)
         assert still.any() and not np.any(np.signbit(out[still]))
+
+
+@lru_cache(maxsize=None)
+def _compiled(name, space):
+    """A fixture Hamiltonian's row table and COO entries over its (N, S_z)
+    sector, its N sector or the full register."""
+    problem = _problem(name)
+    n, k, hf = problem.n_qubits, problem.n_electrons, problem.hf_determinant
+    sector = {"sz": Sector(n, k, _alpha_count(hf)), "n": Sector(n, k), "full": Sector(n)}[space]
+    dets = statevector.sector_dets(sector)
+    h = problem.hamiltonian
+    return compile_operator(h, dets), statevector.operator_entries(h, dets), h.constant, dets.size
+
+
+@st.composite
+def table_cases(draw):
+    """A compiled fixture Hamiltonian and a real state on its determinants,
+    a share of its amplitudes +0.0 or -0.0."""
+    table, entries, constant, size = _compiled(draw(st.sampled_from(("h2", "h4", "h6"))),
+                                               draw(st.sampled_from(("sz", "n", "full"))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rng.normal(size=size)
+    zero = rng.random(size) < draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))
+    state[zero] = np.copysign(0.0, rng.normal(size=size))[zero]
+    return table, entries, constant, state
+
+
+class TestRowTable:
+    """H|s> summed down the padded row table has every bit of the np.add.at
+    scatter it replaced, signed zeros included."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(table_cases())
+    def test_bits_equal_add_at(self, case):
+        table, entries, constant, state = case
+        assert _bits(table.apply(state)) == _bits(apply_add_at(entries, constant, state))
+
+    @pytest.mark.parametrize("space", ["sz", "n", "full"])
+    @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
+    def test_rows_of_negative_zero_products(self, name, space):
+        # every amplitude -0.0: each row's first product is -0.0, and on the
+        # full register the vacuum's row holds nothing but -0.0 products
+        # (its pads), so a sum begun at that product, not at +0.0, ends -0.0
+        table, entries, constant, size = _compiled(name, space)
+        state = np.full(size, -0.0)
+        first = table.vals[0] * state[table.cols[0]]
+        assert np.all(np.signbit(first[table.vals[0] > 0]))
+        assert _bits(table.apply(state)) == _bits(apply_add_at(entries, constant, state))
+
+    def test_one_determinant_is_not_summed_pairwise(self):
+        # a lone row of more than 8 products, which numpy would sum pairwise
+        # down a one-column table
+        dets = np.array([0b1111], dtype=np.uint64)
+        op = FermionOperator({((q,), (q,)): 0.1 * (q + 1) for q in range(4)} | {
+            ((p, q), (p, q)): 0.3 / (p + q) for p in range(4) for q in range(p + 1, 4)}, 0.7)
+        table = compile_operator(op, dets)
+        assert table.vals.shape == (10, 2)
+        state = np.array([1.0 / 3.0])
+        assert _bits(table.apply(state)) == _bits(apply_add_at(
+            statevector.operator_entries(op, dets), op.constant, state))
