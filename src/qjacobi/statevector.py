@@ -143,7 +143,7 @@ class SparseOperator:
     constant: (op s)[i] = sum_d vals[d, i] s[cols[d, i]] + constant s[i].
 
     Column i lists row i's entries in term order, then zero-weight pads on
-    its own position.  ``np.add.reduce`` down axis 0 adds each amplitude's
+    position 0.  ``np.add.reduce`` down axis 0 adds each amplitude's
     products in that order from +0.0, as the term-wise action does, and a
     sum begun at +0.0 is never -0.0, so no pad changes a bit of a finite
     result.  A table is never one column wide: numpy sums that pairwise.
@@ -154,7 +154,7 @@ class SparseOperator:
     constant: float
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        acc = np.add.reduce(self.vals * state[self.cols], axis=0, initial=0.0)[:state.size]
+        acc = np.add.reduce(state.take(self.cols) * self.vals, axis=0, initial=0.0)[:state.size]
         if self.constant:
             acc += self.constant * state
         return acc
@@ -185,8 +185,8 @@ def operator_entries(op: FermionOperator, dets: np.ndarray):
 
 def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
     """``op`` on ``dets`` as a row table: each entry at its rank in its row,
-    which a stable (radix) sort by row keeps in term order; intp columns, as
-    numpy gathers through int32 at half the speed."""
+    which a stable (radix) sort by row keeps in term order; int32 columns,
+    which ``take`` gathers almost as fast as intp (indexing converts them)."""
     rows, cols, vals = operator_entries(op, dets)
     width = dets.size + (dets.size == 1)
     counts = np.bincount(rows, minlength=width)
@@ -195,7 +195,7 @@ def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
     at = (np.arange(rows.size) - (np.cumsum(counts) - counts)[row], row)
     table = np.zeros((counts.max(initial=0), width))
     table[at] = vals[order]
-    index = np.repeat(np.minimum(np.arange(width), dets.size - 1)[None], table.shape[0], axis=0)
+    index = np.zeros(table.shape, np.int32)
     index[at] = cols[order]
     return SparseOperator(*_read_only(table, index), op.constant)
 

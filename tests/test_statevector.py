@@ -19,10 +19,10 @@ from qjacobi.pauli import PAULI_IDENTITY, PauliGenerator, PauliOperator
 from qjacobi.statevector import (Circuit, GivensStep, Sector, StatevectorBackend,
                                  apply_circuit, apply_fermionic_rotation, apply_pauli_rotation,
                                  apply_step, compile_operator, compile_sampled)
-from support import (apply_add_at, apply_excitation, dense_matrix, embed_in_full_space, expectation_exact,
-                     expectation_sampled, fermionic_rotation_loop, fermionic_step_two_pass,
-                     fidelity, generator_operator, hf_energy, pauli_rotation_loop,
-                     pauli_step_flat, prepare_determinant)
+from support import (apply_add_at, apply_excitation, dense_matrix, embed_in_full_space,
+                     expectation_exact, expectation_sampled, fermionic_rotation_loop,
+                     fermionic_step_two_pass, fidelity, generator_operator, hf_energy,
+                     pauli_rotation_loop, pauli_step_flat, prepare_determinant)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
