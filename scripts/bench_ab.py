@@ -46,8 +46,12 @@ PROTOCOL = ("python3 perfbench/run.py --workload W --seed S --trace T with the d
 
 
 def git(*args: str, cwd: Path = ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
-                          text=True).stdout.strip()
+    """git's stdout; a failing command raises RuntimeError with git's stderr."""
+    done = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"git {' '.join(args)} exited with {done.returncode}: "
+                           f"{done.stderr.strip()}")
+    return done.stdout.strip()
 
 
 def side_info(path: Path, commit: str) -> dict:

@@ -129,11 +129,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_fci(args) -> int:
     data, problem = _load_problem(args.fcidump)
-    energy, vector, basis = fci_ground_state(problem, sz=data.ms2 / 2.0)
+    energy, vector, dets = fci_ground_state(problem, sz=data.ms2 / 2.0)
     print(f"{energy:.12f}")
     if args.vector:
         with open(args.vector, "w", encoding="ascii") as fh:
-            for det, amp in zip(basis.determinants, vector):
+            for det, amp in zip(dets.tolist(), vector):
                 fh.write(f"{det:0{problem.n_qubits}b} {amp.real:+.16e}\n")
     return 0
 

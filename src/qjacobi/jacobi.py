@@ -35,10 +35,9 @@ ENERGY_FLOOR_DEFAULT = 1e-9
 ENERGY_WINDOW = 5  # consecutive energy changes below energy_floor that end the run
 _IMAG_TOL = 1e-9
 
-METHODS = ("pqj", "fqj", "cfqj", "exact-bch-fermionic", "exact-bch-pauli")
-# the generator class of each method; it fixes the operator flavour of a run
-_FLAVOR = {"pqj": PauliGenerator, "exact-bch-pauli": PauliGenerator, "fqj": FermionGenerator,
-           "cfqj": FermionGenerator, "exact-bch-fermionic": FermionGenerator}
+# each method and its generator class, which fixes the operator flavour of a run
+METHODS = {"pqj": PauliGenerator, "fqj": FermionGenerator, "cfqj": FermionGenerator,
+           "exact-bch-fermionic": FermionGenerator, "exact-bch-pauli": PauliGenerator}
 _TRUNCATED = {"pqj", "fqj", "cfqj"}
 
 
@@ -292,7 +291,7 @@ def run_quantum_jacobi(problem: MolecularProblem, config: RunConfig) -> RunTrace
     before; other exceptions propagate unchanged.
     """
     config.validate()
-    flavor = _FLAVOR[config.method]
+    flavor = METHODS[config.method]
     fermionic = flavor is FermionGenerator
     phi0 = problem.hf_determinant
     h_approx = problem.hamiltonian if fermionic else jordan_wigner(problem.hamiltonian)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -201,36 +201,31 @@ def compile_operator(op: FermionOperator, dets: np.ndarray) -> SparseOperator:
 
 
 @lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _signed_entries(gen: FermionGenerator, sector: Sector):
-    """``_rotation_map``'s one-row entries, compiled once for every row count;
-    ValueError for a generator that moves an electron between spins on an
-    S_z sector, whose entries the compile would all drop."""
-    cre, ann = gen.excitation
-    if sector.n_alpha is not None and sum(q & 1 for q in cre) != sum(q & 1 for q in ann):
-        raise ValueError(f"generator {gen.excitation} leaves the S_z sector")
-    rows, cols, vals = operator_entries(FermionOperator({gen.excitation: gen.sign}),
-                                        sector_dets(sector))
-    return _read_only(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
-                      np.concatenate((vals, -vals)).astype(np.int8))
-
-
-@lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _rotation_map(gen: FermionGenerator, sector: Sector, rows: int):
     """Cached, read-only ``(out, src, weight)``: (A psi)[out] = weight psi[src]
     in sector positions for A = s(E - E+), zero elsewhere, on a flattened
     stack of ``rows`` states, row j's positions offset by j sector sizes.
 
-    The entries are the compiled s E, then its transpose negated: E and E+
-    have disjoint sources and targets, so each weight is the one nonzero term
-    of s(E - E+).  An entry per row is two int32 positions and an int8
-    weight, at most 2^(n-1) per row on the register and S on a sector of S:
-    with rows <= 2 the cache holds at most _MAP_CACHE_SIZE * 9 * 2^n bytes, 72
-    MiB at 12 qubits, or _MAP_CACHE_SIZE * 18 * S, 14 MiB on the H6 S_z
-    sector (S = 400); the one-row compiles hold at most half as much again.
-    """
-    out, src, weight = _signed_entries(gen, sector)
-    shift = np.arange(rows, dtype=np.int32)[:, None] * np.int32(sector_dets(sector).size)
-    return _read_only((out + shift).ravel(), (src + shift).ravel(), np.tile(weight, rows))
+    One row holds the compiled s E, then its transpose negated: E and E+ have
+    disjoint sources and targets, so each weight is the one nonzero term of
+    s(E - E+).  A stack tiles the cached row, so each generator is compiled
+    once per sector; a generator that moves an electron between spins on an
+    S_z sector, whose entries the compile would all drop, raises ValueError.
+    An entry per row is two int32 positions and an int8 weight, at most
+    2^(n-1) per row on the register and S on a sector of S: with rows <= 2 the
+    cache holds at most _MAP_CACHE_SIZE * 9 * 2^n bytes, 72 MiB at 12 qubits,
+    or _MAP_CACHE_SIZE * 18 * S, 14 MiB on the H6 S_z sector (S = 400)."""
+    if rows > 1:
+        out, src, weight = _rotation_map(gen, sector, 1)
+        shift = np.arange(rows, dtype=np.int32)[:, None] * np.int32(sector_dets(sector).size)
+        return _read_only((out + shift).ravel(), (src + shift).ravel(), np.tile(weight, rows))
+    cre, ann = gen.excitation
+    if sector.n_alpha is not None and sum(q & 1 for q in cre) != sum(q & 1 for q in ann):
+        raise ValueError(f"generator {gen.excitation} leaves the S_z sector")
+    e_rows, e_cols, vals = operator_entries(FermionOperator({gen.excitation: gen.sign}),
+                                            sector_dets(sector))
+    return _read_only(np.concatenate((e_rows, e_cols)), np.concatenate((e_cols, e_rows)),
+                      np.concatenate((vals, -vals)).astype(np.int8))
 
 
 def _check_norm(state: np.ndarray) -> np.ndarray:
@@ -369,7 +364,7 @@ def expectation_sampled(op: SampledOperator, state: np.ndarray, shots_per_term: 
     non-identity string adds the mean of ``shots_per_term`` +-1 outcomes
     drawn with the exact probabilities, the identity is added exactly.  One
     binomial call draws over the strings in draw order, and the total adds
-    the contributions one by one in that order."""
+    the contributions one by one in that order (``np.cumsum``, never pairwise)."""
     if shots_per_term < 1:
         raise ValueError("shots_per_term must be >= 1")
     half = 0.5 * (1.0 + op.means(state))
@@ -377,10 +372,8 @@ def expectation_sampled(op: SampledOperator, state: np.ndarray, shots_per_term: 
     p_up = np.where(half > 0.0, half, 0.0)
     p_up = np.where(p_up < 1.0, p_up, 1.0)
     ups = rng.binomial(shots_per_term, p_up)
-    total = 0.0 + op.constant
-    for term in (op.coeffs * (2.0 * ups / shots_per_term - 1.0)).tolist():
-        total += term
-    return total
+    terms = op.coeffs * (2.0 * ups / shots_per_term - 1.0)
+    return float(np.cumsum(np.concatenate(([0.0 + op.constant], terms)))[-1])
 
 
 class StatevectorBackend:
@@ -393,7 +386,7 @@ class StatevectorBackend:
     A ``fermionic`` backend replays circuits of fermionic steps on the
     reference's (N, S_z) sector, or on its N sector if the Hamiltonian does
     not conserve S_z; others replay on the full register.  Exact values
-    measure the replay; sampled ones and ``state`` scatter it to the register.
+    measure the replay; sampled ones and ``states`` scatter it to the register.
     """
 
     def __init__(self, n_qubits: int, reference: int, hamiltonian: FermionOperator,
@@ -412,19 +405,20 @@ class StatevectorBackend:
         self.rng = rng
         self.expectation_count = 0
         self.shots_used = 0
-        self._strings: SampledOperator | None = None
         keeps_sz = np.array_equal(*(np.bitwise_count(a & np.uint64(_ALPHA))
                                     for a in (hamiltonian.cre, hamiltonian.ann)))
         n_alpha = (reference & _ALPHA).bit_count() if keeps_sz else None
         self._sector = Sector(n_qubits, reference.bit_count(), n_alpha) if fermionic else None
         self._dets = sector_dets(self._sector or Sector(n_qubits))
         self._start, = _read_only((self._dets == reference).astype(np.float64))
-        self._exact_h: SparseOperator | None = None
 
+    @cached_property
     def exact_hamiltonian(self) -> SparseOperator:
-        if self._exact_h is None:
-            self._exact_h = compile_operator(self.hamiltonian, self._dets)
-        return self._exact_h
+        return compile_operator(self.hamiltonian, self._dets)
+
+    @cached_property
+    def _strings(self) -> SampledOperator:
+        return compile_sampled(jordan_wigner(self.hamiltonian), 1 << self.n_qubits)
 
     def _replay(self, circuit: Circuit, extra_steps: tuple) -> np.ndarray:
         """Row j: U(k) [extra_j] |Phi0> in float64 on the replayed determinants."""
@@ -442,9 +436,6 @@ class StatevectorBackend:
         full[:, self._dets] = self._replay(circuit, extra_steps)
         return full
 
-    def state(self, circuit: Circuit, extra_step: GivensStep | None = None) -> np.ndarray:
-        return self.states(circuit, (extra_step,))[0]
-
     def expectation(self, circuit: Circuit, extra_step: GivensStep | None = None) -> float:
         return self.expectations(circuit, (extra_step,))[0]
 
@@ -453,10 +444,8 @@ class StatevectorBackend:
         the rows measured in order."""
         self.expectation_count += len(extra_steps)
         if self.shots_per_term is None:
-            h = self.exact_hamiltonian()
+            h = self.exact_hamiltonian
             return [expectation_exact(h, row) for row in self._replay(circuit, extra_steps)]
-        if self._strings is None:
-            self._strings = compile_sampled(jordan_wigner(self.hamiltonian), 1 << self.n_qubits)
         self.shots_used += len(extra_steps) * self.shots_per_term * self._strings.coeffs.size
         return [expectation_sampled(self._strings, row, self.shots_per_term, self.rng)
                 for row in self.states(circuit, extra_steps)]

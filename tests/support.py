@@ -7,7 +7,8 @@ dict loops that the array passes of ``qjacobi.fermion``, ``qjacobi.cumulant``,
 ``(terms, constant)`` with the loop's insertion order, compared key by key
 in order and value by value in IEEE bits (``bits``).  ``dense_matrix`` fills
 a complex matrix one ``act`` at a time, the oracle for the compiled FCI
-matrix.  ``apply_key_to_det`` acts one operator at a time on a determinant,
+matrix, and ``jw_generator_loop`` keeps the two accumulation loops over E
+and E+ that ``jw_generator``'s one pass replaced.  ``apply_key_to_det`` acts one operator at a time on a determinant,
 ``hf_energy`` sums the integrals of the occupied orbitals, and the device
 oracles apply one excitation at a time over the full register.  The device
 conveniences (``prepare_determinant``, ``expectation_exact``,
@@ -35,6 +36,8 @@ from qjacobi.fermion import (ZERO_FLOOR, FermionOperator, _reorder, conjugate_ke
                              term_product)
 from qjacobi.hamiltonian import build_hamiltonian
 from qjacobi.jacobi import RunConfig, run_quantum_jacobi
+from qjacobi.jordan_wigner import _jw_key
+from qjacobi.pauli import PauliOperator
 
 IDENTITY_KEY = ((), ())
 
@@ -129,10 +132,10 @@ def fidelity(a, b):
     return float(abs(np.vdot(a, b)) ** 2)
 
 
-def embed_in_full_space(vector, basis, n_qubits):
-    """Lift a sector vector onto the full 2^n statevector."""
+def embed_in_full_space(vector, dets, n_qubits):
+    """Lift a vector over the determinants ``dets`` onto the full 2^n statevector."""
     full = np.zeros(1 << n_qubits, dtype=complex)
-    for amp, det in zip(vector, basis.determinants):
+    for amp, det in zip(vector, dets):
         full[det] = amp
     return full
 
@@ -147,14 +150,14 @@ def two_integral(data, p, q, r, s):
     return data.two_body.get(_canonical_two(p, q, r, s), 0.0)
 
 
-def dense_matrix(op, n_qubits, basis=None):
-    """<nu| op |mu> by sparse action on basis states, in complex128: the
-    oracle for the compiled FCI matrix.
+def dense_matrix(op, n_qubits, dets=None):
+    """<nu| op |mu> by sparse action on the determinants ``dets``, in
+    complex128: the oracle for the compiled FCI matrix.
 
-    ``basis=None`` uses the full 2^n space ordered by integer value.  Entries
+    ``dets=None`` uses the full 2^n space ordered by integer value.  Entries
     landing outside a restricted basis are discarded (the sector projection).
     """
-    dets = range(1 << n_qubits) if basis is None else basis.determinants
+    dets = range(1 << n_qubits) if dets is None else [int(d) for d in dets]
     index = {d: i for i, d in enumerate(dets)}
     mat = np.zeros((len(dets), len(dets)), dtype=complex)
     for j, d in enumerate(dets):
@@ -308,6 +311,17 @@ def truncate_loop(op, epsilon, n_electrons):
         if rank <= n_electrons and (rank <= 2 or abs(coeff) >= epsilon):
             kept[key] = coeff
     return kept, op.constant
+
+
+def jw_generator_loop(gen):
+    """Pauli image of -i s(E - E+) accumulated over E's strings, then E+'s:
+    the oracle for ``jw_generator``'s one pass over E's strings."""
+    out = {}
+    for pk, pc in _jw_key(gen.excitation):
+        out[pk] = out.get(pk, 0.0) - 1j * gen.sign * pc
+    for pk, pc in _jw_key(conjugate_key(gen.excitation)):
+        out[pk] = out.get(pk, 0.0) + 1j * gen.sign * pc
+    return PauliOperator(out).pruned()
 
 
 def build_hamiltonian_loop(data):

@@ -77,3 +77,9 @@ def test_failed_runs_listed_and_left_out():
     assert (out["malformed_runs"], out["failed_runs"]) == (1, 1)
     assert out["metrics"]["run_s"]["pairs"] == 1
     assert out["metrics"]["run_s"]["change"]["median"] == 0.5
+
+
+def test_git_failure_carries_its_message():
+    with pytest.raises(RuntimeError, match=r"git rev-parse --verify no-such-rev exited "
+                                           r"with \d+: fatal:"):
+        bench_ab.git("rev-parse", "--verify", "no-such-rev")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qjacobi.fci import DeterminantBasis
+from qjacobi import fci
 from qjacobi.fermion import FermionGenerator, FermionOperator, bch_transform
 from qjacobi.jacobi import (EffectiveBlock, ResidualVector, RunConfig,
                             classical_residual, diagonal_element,
@@ -34,11 +34,11 @@ class TestClassicalResidual:
         assert abs(abs(r.entries[0b0110]) - 0.7) < 1e-14
 
     def test_matches_fci_matrix_row(self, h4):
-        basis = DeterminantBasis.build(h4.n_qubits, h4.n_electrons)
+        basis = fci.basis(h4.n_qubits, h4.n_electrons).tolist()
         mat = dense_matrix(h4.hamiltonian, h4.n_qubits, basis)
-        col = basis.determinants.index(h4.hf_determinant)
+        col = basis.index(h4.hf_determinant)
         r = classical_residual(h4.hamiltonian, h4.hf_determinant)
-        for i, det in enumerate(basis.determinants):
+        for i, det in enumerate(basis):
             if det == h4.hf_determinant:
                 continue
             assert abs(mat[i, col].real - r.entries.get(det, 0.0)) < 1e-12
@@ -66,10 +66,10 @@ class TestSelection:
         assert select_deterministic(r) == 3
 
     def test_h2_first_pick_matches_oracle(self, h2):
-        basis = DeterminantBasis.build(h2.n_qubits, h2.n_electrons)
+        basis = fci.basis(h2.n_qubits, h2.n_electrons).tolist()
         mat = dense_matrix(h2.hamiltonian, h2.n_qubits, basis)
-        col = basis.determinants.index(h2.hf_determinant)
-        couplings = {d: abs(mat[i, col]) for i, d in enumerate(basis.determinants)
+        col = basis.index(h2.hf_determinant)
+        couplings = {d: abs(mat[i, col]) for i, d in enumerate(basis)
                      if d != h2.hf_determinant}
         best = max(couplings, key=couplings.get)
         r = classical_residual(h2.hamiltonian, h2.hf_determinant)

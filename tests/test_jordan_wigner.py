@@ -1,14 +1,15 @@
+import itertools
 import random
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qjacobi.fci import DeterminantBasis
+from qjacobi import fci
 from qjacobi.fermion import FermionGenerator, FermionOperator
 from qjacobi.jordan_wigner import jordan_wigner, jw_generator
 from qjacobi.pauli import PAULI_IDENTITY, pauli_multiply
-from support import dense_matrix, generator_operator, multiply, plus
+from support import bits, dense_matrix, generator_operator, jw_generator_loop, multiply, plus
 
 
 def max_abs_imag(op):
@@ -38,10 +39,10 @@ def test_h2_dense_equivalence(h2):
 
 
 def test_sector_projection_matches(h2):
-    basis = DeterminantBasis.build(h2.n_qubits, h2.n_electrons)
+    basis = fci.basis(h2.n_qubits, h2.n_electrons).tolist()
     full = dense_matrix(jordan_wigner(h2.hamiltonian), h2.n_qubits)
     sector = dense_matrix(h2.hamiltonian, h2.n_qubits, basis)
-    idx = list(basis.determinants)
+    idx = list(basis)
     assert np.max(np.abs(full[np.ix_(idx, idx)] - sector)) < 1e-12
 
 
@@ -89,6 +90,18 @@ def test_generator_image_matches_dense():
     dense_mu = dense_matrix(mu, 4)
     a = dense_matrix(generator_operator(gen), 4)
     assert np.max(np.abs(dense_mu - (-1j) * a)) < 1e-12
+
+
+def test_generator_image_equals_two_loops():
+    # every excitation of rank 1-3 on 8 modes, both signs: the strings in the
+    # loops' order, each coefficient in IEEE bits
+    for rank in (1, 2, 3):
+        for cre in itertools.combinations(range(8), rank):
+            rest = [q for q in range(8) if q not in cre]
+            for ann, sign in itertools.product(itertools.combinations(rest, rank), (1, -1)):
+                gen = FermionGenerator((cre, ann), sign)
+                assert (bits(jw_generator(gen).terms.items())
+                        == bits(jw_generator_loop(gen).terms.items()))
 
 
 @st.composite

@@ -301,7 +301,7 @@ class TestSampledMatchesLoop:
         for steps in range(len(circuit) + 1):
             part = Circuit(circuit.steps[:steps])
             assert (backend.expectation(part)
-                    == sampled_loop(hp, backend.state(part), 1000, oracle_rng))
+                    == sampled_loop(hp, backend.states(part, (None,))[0], 1000, oracle_rng))
         assert backend.rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -463,7 +463,7 @@ class TestBackend:
         assert replay.dtype == np.float64 and replay.shape == (1, 36)
         assert not backend._start.flags.writeable
         assert backend.expectation(circuit) == statevector.expectation_exact(
-            backend.exact_hamiltonian(), replay[0])
+            backend.exact_hamiltonian, replay[0])
 
     def test_shot_accounting(self, h2):
         backend = StatevectorBackend(h2.n_qubits, h2.hf_determinant, h2.hamiltonian,
@@ -508,38 +508,37 @@ class TestCompiledKernel:
         sz_sector, n_sector, full = self.SIZES[name]
         inside = StatevectorBackend(problem.n_qubits, problem.hf_determinant, h, fermionic=True)
         circuit = _circuit(problem, FermionGenerator)
-        state = inside.state(circuit)
+        state = inside.states(circuit, (None,))[0]
         assert inside.expectation(circuit) == oracle_expectation(h, state)
         assert expectation_exact(h, state) == oracle_expectation(h, state)
-        assert np.count_nonzero(inside.exact_hamiltonian().vals) == sz_sector
+        assert np.count_nonzero(inside.exact_hamiltonian.vals) == sz_sector
         n_dets = statevector.sector_dets(Sector(problem.n_qubits, problem.n_electrons))
         assert np.count_nonzero(compile_operator(h, n_dets).vals) == n_sector
 
         # Pauli rotations leave the particle-number sector: a backend that
         # is not fermionic compiles over the full register
         outside = StatevectorBackend(problem.n_qubits, problem.hf_determinant, h)
-        hf_state = outside.state(Circuit())
+        hf_state = outside.states(Circuit(), (None,))[0]
         assert outside.expectation(Circuit()) == oracle_expectation(h, hf_state)
         circuit = _circuit(problem, PauliGenerator)
-        state = outside.state(circuit)
+        state = outside.states(circuit, (None,))[0]
         counts = np.bitwise_count(np.arange(state.size))
         assert np.any(state[counts != problem.n_electrons])
         assert outside.expectation(circuit) == oracle_expectation(h, state)
         assert expectation_exact(h, state) == oracle_expectation(h, state)
-        assert np.count_nonzero(outside.exact_hamiltonian().vals) == full
+        assert np.count_nonzero(outside.exact_hamiltonian.vals) == full
 
     def test_cached_maps_read_only(self):
         gen = FermionGenerator(((2, 3), (0, 1)), -1)
         maps = (statevector._rotation_map(gen, Sector(4, 2), 2)
                 + statevector._rotation_map(gen, Sector(4), 1)
-                + statevector._signed_entries(gen, Sector(4, 2))
+                + statevector._rotation_map(gen, Sector(4, 2), 1)
                 + statevector._pauli_map((0b0110, 0b0011), (2, 16)))
         for arr in maps:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
-        for cache in (statevector._rotation_map, statevector._signed_entries,
-                      statevector._pauli_map):
+        for cache in (statevector._rotation_map, statevector._pauli_map):
             assert cache.cache_info().maxsize == statevector._MAP_CACHE_SIZE
 
     @pytest.mark.parametrize("sector", [Sector(4, 2), Sector(4)])
@@ -562,25 +561,30 @@ class TestCompiledKernel:
         # a block replays its candidate step on one row, and the circuit
         # replays it on two once it is accepted: one compile serves both
         real, asked = statevector._rotation_map, set()
+        real_entries, compiles = statevector.operator_entries, []
 
         def recording(gen, sector, rows):
             asked.add((gen, rows))
             return real(gen, sector, rows)
 
+        def counting(op, dets):
+            if op.coeffs.size == 1:  # a generator's s E, not the Hamiltonian
+                compiles.append(tuple(op.terms.items()))
+            return real_entries(op, dets)
+
         real.cache_clear()
-        statevector._signed_entries.cache_clear()
         monkeypatch.setattr(statevector, "_rotation_map", recording)
+        monkeypatch.setattr(statevector, "operator_entries", counting)
         run_quantum_jacobi(h4, RunConfig(method="cfqj", epsilon=1e-4, kappa=1e-3,
                                          max_cycles=12))
         generators = {gen for gen, _ in asked}
         assert {rows for _, rows in asked} == {1, 2} and len(asked) > len(generators)
-        assert statevector._signed_entries.cache_info().misses == len(generators)
+        assert sorted(compiles) == sorted({((g.excitation, g.sign),) for g in generators})
         assert real.cache_info().misses == len(asked)
 
     def test_trace_independent_of_cache_state(self, h4):
         cfg = dict(method="cfqj", epsilon=1e-4, kappa=1e-3, max_cycles=60, rng_seed=5)
         statevector._rotation_map.cache_clear()
-        statevector._signed_entries.cache_clear()
         statevector._pauli_map.cache_clear()
         cold = run_quantum_jacobi(h4, RunConfig(**cfg)).to_jsonl()
         misses = statevector._rotation_map.cache_info().misses
@@ -615,7 +619,7 @@ class TestCompiledKernel:
             backend.expectation(Circuit((GivensStep(flip, 0.3),)))
         # on the N sector the same generator rotates as before
         n_sector = Sector(h4.n_qubits, h4.n_electrons)
-        assert statevector._signed_entries(flip, n_sector)[0].size > 0
+        assert statevector._rotation_map(flip, n_sector, 1)[0].size > 0
 
     @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
     def test_sector_replay_equals_full_register(self, name):
@@ -624,7 +628,7 @@ class TestCompiledKernel:
         full, sector = StatevectorBackend(*args), StatevectorBackend(*args, fermionic=True)
         circuit = _circuit(problem, FermionGenerator)
         extra = circuit.steps[0]
-        assert np.array_equal(sector.state(circuit, extra), full.state(circuit, extra))
+        assert np.array_equal(sector.states(circuit, (extra,))[0], full.states(circuit, (extra,))[0])
         assert sector.expectation(circuit, extra) == full.expectation(circuit, extra)
 
 
@@ -793,7 +797,7 @@ class TestRealReplay:
         circuit = _circuit(h4, flavor)
         backend = StatevectorBackend(h4.n_qubits, h4.hf_determinant, h4.hamiltonian,
                                      fermionic=flavor is FermionGenerator)
-        state = backend.state(circuit, circuit.steps[0])
+        state = backend.states(circuit, (circuit.steps[0],))[0]
         assert dtypes == [np.float64, np.float64]
         assert state.dtype == np.float64
 
