@@ -8,9 +8,10 @@ dict loops that the array passes of ``qjacobi.fermion``, ``qjacobi.cumulant``,
 in order and value by value in IEEE bits (``bits``).  ``dense_matrix`` fills
 a complex matrix one ``act`` at a time, the oracle for the compiled FCI
 matrix, and ``jw_generator_loop`` keeps the two accumulation loops over E
-and E+ that ``jw_generator``'s one pass replaced.  ``apply_key_to_det`` acts one operator at a time on a determinant,
-``hf_energy`` sums the integrals of the occupied orbitals, and the device
-oracles apply one excitation at a time over the full register.  The device
+and E+ that ``jw_generator``'s one pass replaced.  ``apply_key_to_det`` acts
+one operator at a time on a determinant, ``hf_energy`` sums the integrals of
+the occupied orbitals, and the device oracles apply one excitation at a time
+over the full register.  The device
 conveniences (``prepare_determinant``, ``expectation_exact``,
 ``expectation_sampled``) measure full-register states through the compiled
 kernels, real or complex ones exactly and real ones by sampling.  The

@@ -42,8 +42,7 @@ def test_sector_projection_matches(h2):
     basis = fci.basis(h2.n_qubits, h2.n_electrons).tolist()
     full = dense_matrix(jordan_wigner(h2.hamiltonian), h2.n_qubits)
     sector = dense_matrix(h2.hamiltonian, h2.n_qubits, basis)
-    idx = list(basis)
-    assert np.max(np.abs(full[np.ix_(idx, idx)] - sector)) < 1e-12
+    assert np.max(np.abs(full[np.ix_(basis, basis)] - sector)) < 1e-12
 
 
 def test_linearity():

@@ -628,7 +628,8 @@ class TestCompiledKernel:
         full, sector = StatevectorBackend(*args), StatevectorBackend(*args, fermionic=True)
         circuit = _circuit(problem, FermionGenerator)
         extra = circuit.steps[0]
-        assert np.array_equal(sector.states(circuit, (extra,))[0], full.states(circuit, (extra,))[0])
+        assert np.array_equal(sector.states(circuit, (extra,))[0],
+                              full.states(circuit, (extra,))[0])
         assert sector.expectation(circuit, extra) == full.expectation(circuit, extra)
 
 
