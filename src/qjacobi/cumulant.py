@@ -59,17 +59,18 @@ def cumulant_decompose(op: FermionOperator, kappa: float, reference: int) -> Fer
     contract = split & ((spect & ~np.uint64(reference)) == 0)
     leaf_size = np.maximum(2 - n_pure, 0)
 
+    shapes = {(l, t): np.flatnonzero(contract & (n_spect == l) & (leaf_size == t)) for l, t
+              in set(zip(n_spect[contract].tolist(), leaf_size[contract].tolist()))}
     count = (~split).astype(np.int64)
-    count[contract] = [math.perm(l, l - t) for l, t in
-                       zip(n_spect[contract].tolist(), leaf_size[contract].tolist())]
+    for (l, t), idx in shapes.items():
+        count[idx] = math.perm(l, l - t)
     slot = np.cumsum(count) - count
     seq = [np.empty(count.sum(), np.uint64), np.empty(count.sum(), np.uint64),
            np.empty(count.sum())]
     for arr, vals in zip(seq, (cre, ann, h)):
         arr[slot[~split]] = vals[~split]
 
-    for l, t in set(zip(n_spect[contract].tolist(), leaf_size[contract].tolist())):
-        idx = np.flatnonzero(contract & (n_spect == l) & (leaf_size == t))
+    for (l, t), idx in shapes.items():
         template = _leaf_template(l, t)
         rest = spect[idx]
         bits = np.empty((idx.size, l), dtype=np.uint64)

@@ -15,8 +15,8 @@ masks ``cre``/``ann``, float64 ``coeffs``, plus a ``constant``.  Conjugation,
 cumulant compression, truncation and the per-determinant action are numpy
 passes over them.  Every output value is formed with the roundings of a
 term-by-term dict loop, and outputs sum their contributions in that loop's
-order and keep its insertion order (``pauli._merge_first_seen``), so results
-are bit-identical to it.
+order and keep its insertion order (``pauli._merge_first_seen``, over the
+stable key order of ``pauli._lexsort``), so results are bit-identical to it.
 
 ``term_action`` is the one Jordan-Wigner sign of a canonical term on a
 determinant: the residual, the diagonal, the FCI matrix, the generators and
@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import ZERO_FLOOR, TermsView, _merge_first_seen
+from .pauli import ZERO_FLOOR, TermsView, _lexsort, _merge_first_seen
 
 MAX_MODES = 64  # masks are uint64
 
@@ -429,7 +429,7 @@ def bch_transform(op: FermionOperator, gen: FermionGenerator, theta: float) -> F
     touched = np.flatnonzero(((cre | ann) & support) != 0)
     # group the touched keys by R-pattern, in canonical positions
     cre_r, ann_r = (_relabel(m[touched], modes, canonical) for m in (cre, ann))
-    order = np.lexsort((ann_r, cre_r))
+    order = _lexsort((cre_r, ann_r))
     head = np.ones(order.size, dtype=bool)
     head[1:] = (np.diff(cre_r[order]) != 0) | (np.diff(ann_r[order]) != 0)
     which = np.empty(order.size, dtype=np.int64)

@@ -10,6 +10,7 @@ imaginary factor, so each component is rounded once; outputs sum their
 contributions in term order from 0.0 and keep a term-by-term dict loop's
 insertion order, so results are bit-identical to that loop's.  The action
 merges equal keys by a sort; conjugation pairs each string with its partner.
+Every key sort in the package is ``_lexsort``, a value sort of packed keys.
 """
 
 from __future__ import annotations
@@ -51,13 +52,29 @@ def pauli_label(key: PKey, n_qubits: int) -> str:
     return "".join(_CHARS[(x >> q & 1, z >> q & 1)] for q in range(n_qubits))
 
 
+def _lexsort(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``np.lexsort(keys[::-1])`` for uint64 keys, ``keys[0]`` first: one value
+    sort of ``keys << b | index`` where the bits used fit in 64 (the index
+    makes every value distinct, so no stability is needed), else lexsort."""
+    n = keys[0].size
+    b = n.bit_length()
+    widths = [int(np.bitwise_or.reduce(k)).bit_length() for k in keys]
+    if sum(widths) + b > 64:
+        return np.lexsort(keys[::-1])
+    packed = keys[0]
+    for k, w in zip((*keys[1:], np.arange(n, dtype=np.uint64)), (*widths[1:], b)):
+        packed = packed << np.uint64(w) | k
+    packed.sort()
+    return (packed & np.uint64((1 << b) - 1)).astype(np.intp)
+
+
 def _merge_first_seen(keys: tuple[np.ndarray, ...], vals: np.ndarray):
     """Sum the values of equal keys in sequence order.
 
     Returns the distinct keys and their sums, ordered by first occurrence, as
     a dict filled in sequence order would hold them.
     """
-    order = np.lexsort(keys[::-1])  # stable: equal keys keep sequence order
+    order = _lexsort(keys)  # stable: equal keys keep sequence order
     head = np.zeros(order.size, dtype=bool)
     head[:1] = True
     for k in keys:
@@ -218,7 +235,7 @@ def bch_transform_pauli(op: PauliOperator, gen: PauliGenerator, theta: float) ->
     ia = np.flatnonzero(anti)
     flip = (x[ia] & gz) != 0
     cx, cz = np.where(flip, px[ia], x[ia]), np.where(flip, pz[ia], z[ia])
-    order = np.lexsort((cz, cx))
+    order = _lexsort((cx, cz))
     tie = np.flatnonzero((np.diff(cx[order]) == 0) & (np.diff(cz[order]) == 0))
     first, later = ia[order[tie]], ia[order[tie + 1]]
     # a dict loop's sequence: each string, then its partner; a pair's later

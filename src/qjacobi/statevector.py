@@ -35,7 +35,7 @@ import numpy as np
 
 from .fermion import FermionGenerator, FermionOperator, term_action
 from .jordan_wigner import jordan_wigner
-from .pauli import PauliGenerator, PauliOperator
+from .pauli import PauliGenerator, PauliOperator, _lexsort
 
 _NORM_TOL = 1e-10
 _IMAG_TOL = 1e-10
@@ -342,7 +342,7 @@ class SampledOperator:
 
 def compile_sampled(op: PauliOperator, dim: int) -> SampledOperator:
     """``op``'s strings in expectation_sampled's draw order, as gather tables."""
-    order = np.lexsort((op.z, op.x))
+    order = _lexsort((op.x, op.z))
     x, z, coeffs = op.x[order], op.z[order], op.coeffs[order]
     if np.any(np.abs(coeffs.imag) > _IMAG_TOL):
         raise ValueError("sampled operator must have real coefficients")

@@ -493,6 +493,35 @@ def near_hermitian_operators(draw):
     return FermionOperator(terms)
 
 
+def spread(op, modes):
+    """``op`` with mode i moved to ``modes[i]``: the modes ascend, so each key
+    stays canonical and keeps its coefficient."""
+    def move(indices):
+        return tuple(modes[i] for i in indices)
+
+    return FermionOperator({(move(c), move(a)): h for (c, a), h in op.terms.items()},
+                           op.constant)
+
+
+def spread_det(det, modes):
+    return sum(1 << m for i, m in enumerate(modes) if det >> i & 1)
+
+
+def wide_modes(n):
+    """n ascending positions in 0..63."""
+    return st.lists(st.integers(0, 63), min_size=n, max_size=n, unique=True).map(sorted)
+
+
+@st.composite
+def wide_fermion_cases(draw):
+    """(modes, operator, generator): a ``fermion_cases`` draw with its n modes
+    spread over ``modes``, so that merged masks reach 64 bits."""
+    n, op, gen = draw(fermion_cases())
+    modes = draw(wide_modes(n))
+    (cre, ann), = spread(FermionOperator({gen.excitation: 1.0}), modes).terms
+    return modes, spread(op, modes), FermionGenerator((cre, ann), gen.sign)
+
+
 def assert_same_terms(op, expected):
     terms, constant = expected
     assert bits(op.terms.items()) == bits(terms.items())
@@ -533,6 +562,36 @@ class TestArrayPassesMatchLoops:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(near_hermitian_operators(), st.sampled_from([1e-10, 1e-12, 1e-8]))
     def test_is_hermitian(self, op, tol):
+        assert op.is_hermitian(tol) == is_hermitian_loop(op, tol)
+
+    # the same passes with masks up to 64 bits wide, where the merges' packed
+    # sort keys pass 64 bits and np.lexsort takes over
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(wide_fermion_cases(), _THETAS)
+    def test_bch_transform_on_64_modes(self, case, theta):
+        modes, op, gen = case
+        assert_same_terms(bch_transform(op, gen, theta), bch_loop(op, gen, theta))
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(wide_fermion_cases(), st.sampled_from([1e-3, 0.3, 1.0, 3.0]),
+           st.just(255) | st.integers(0, 255))
+    def test_cumulant_decompose_on_64_modes(self, case, kappa, reference):
+        modes, op, gen = case
+        reference = spread_det(reference, modes)
+        assert_same_terms(cumulant_decompose(op, kappa, reference),
+                          cumulant_loop(op, kappa, reference))
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(wide_fermion_cases(), st.integers(0, 255))
+    def test_act_on_64_modes(self, case, det):
+        modes, op, gen = case
+        det = spread_det(det, modes)
+        assert bits(op.act(det).items()) == bits(act_loop(op, det).items())
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(near_hermitian_operators(), wide_modes(8), st.sampled_from([1e-10, 1e-12, 1e-8]))
+    def test_is_hermitian_on_64_modes(self, op, modes, tol):
+        op = spread(op, modes)
         assert op.is_hermitian(tol) == is_hermitian_loop(op, tol)
 
     def test_is_hermitian_on_missing_conjugate_and_mismatch(self, h2):

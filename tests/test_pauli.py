@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qjacobi import pauli
 from qjacobi.jacobi import truncate
 from qjacobi.pauli import (PAULI_IDENTITY, ZERO_FLOOR, PauliGenerator, PauliOperator,
-                           bch_transform_pauli, pauli_label, pauli_multiply,
+                           _lexsort, bch_transform_pauli, pauli_label, pauli_multiply,
                            pauli_weight)
 from support import bits, dense_matrix
 
@@ -305,3 +308,72 @@ class TestArrayKernelsMatchLoops:
         assert op.terms == {I: 1.0, X: 0.5, Z: -0.25j}
         for arr in (op.x, op.z, op.coeffs):
             assert not arr.flags.writeable
+
+
+_WIDTHS = (0, 1, 8, 31, 32, 40, 63, 64)
+
+
+@st.composite
+def sort_keys(draw):
+    """1-3 uint64 keys of 0-400 entries, each drawn from a small pool (so
+    ties are common) whose widest value uses one of ``_WIDTHS`` bits."""
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.sampled_from(_WIDTHS))
+        top = draw(st.integers((1 << w) >> 1, (1 << w) - 1))
+        pool = np.array([top] + draw(st.lists(st.integers(0, (1 << w) - 1), max_size=3)),
+                        np.uint64)
+        key = pool[rng.integers(0, pool.size, n)]
+        if n:
+            key[rng.integers(n)] = top  # the key uses all w bits
+        keys.append(key)
+    return tuple(keys)
+
+
+def key_of_width(n, w, seed):
+    """n uint64 values, with ties, whose widest uses exactly w bits."""
+    pool = np.array([(1 << w) - 1, 0, (1 << w) >> 1, ((1 << w) - 1) // 3], np.uint64)
+    key = pool[np.random.default_rng(seed).integers(0, pool.size, n)]
+    key[:1] = pool[0]
+    return key
+
+
+class TestLexsort:
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(sort_keys())
+    def test_matches_lexsort(self, keys):
+        order = _lexsort(keys)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.lexsort(keys[::-1]))
+
+    # (n, key widths, whether the used bits plus n.bit_length() exceed 64)
+    @pytest.mark.parametrize("n, widths, fallback", [
+        (0, (0, 0), False), (1, (63,), False), (1, (64,), True),
+        (4, (61,), False), (4, (62,), True), (5, (20, 20, 21), False),
+        (5, (20, 21, 21), True), (256, (30, 25), False), (256, (30, 26), True),
+        (300, (0, 55), False), (300, (1, 55), True)])
+    def test_packed_at_64_bits_and_lexsort_past_them(self, n, widths, fallback, monkeypatch):
+        keys = tuple(key_of_width(n, w, seed) for seed, w in enumerate(widths))
+        expected = np.lexsort(keys[::-1])
+        calls = []
+        monkeypatch.setattr(np, "lexsort", lambda k: calls.append(k) or expected)
+        order = _lexsort(keys)
+        monkeypatch.undo()
+        assert order.dtype == np.intp and np.array_equal(order, expected)
+        assert len(calls) == fallback
+
+    def test_lexsort_called_only_in_the_helper(self):
+        # one sort path: a second np.lexsort site would bypass the packed sort
+        sites = []
+        for path in sorted(Path(pauli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {}  # node -> innermost enclosing function (ast.walk is breadth-first)
+            for func in ast.walk(tree):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update((node, func.name) for node in ast.walk(func))
+            sites += [(path.name, owner.get(node)) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "lexsort"
+                      or isinstance(node, ast.alias) and node.name == "lexsort"]
+        assert sites == [("pauli.py", "_lexsort")]
