@@ -493,14 +493,14 @@ def near_hermitian_operators(draw):
     return FermionOperator(terms)
 
 
-def spread(op, modes):
-    """``op`` with mode i moved to ``modes[i]``: the modes ascend, so each key
-    stays canonical and keeps its coefficient."""
-    def move(indices):
-        return tuple(modes[i] for i in indices)
+def spread_key(key, modes):
+    """``key`` with mode i moved to ``modes[i]``; the modes ascend, so a
+    canonical key stays canonical."""
+    return tuple(tuple(modes[i] for i in indices) for indices in key)
 
-    return FermionOperator({(move(c), move(a)): h for (c, a), h in op.terms.items()},
-                           op.constant)
+
+def spread(op, modes):
+    return FermionOperator({spread_key(k, modes): h for k, h in op.terms.items()}, op.constant)
 
 
 def spread_det(det, modes):
@@ -518,8 +518,7 @@ def wide_fermion_cases(draw):
     spread over ``modes``, so that merged masks reach 64 bits."""
     n, op, gen = draw(fermion_cases())
     modes = draw(wide_modes(n))
-    (cre, ann), = spread(FermionOperator({gen.excitation: 1.0}), modes).terms
-    return modes, spread(op, modes), FermionGenerator((cre, ann), gen.sign)
+    return modes, spread(op, modes), FermionGenerator(spread_key(gen.excitation, modes), gen.sign)
 
 
 def assert_same_terms(op, expected):
