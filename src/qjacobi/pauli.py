@@ -10,7 +10,7 @@ imaginary factor, so each component is rounded once; outputs sum their
 contributions in term order from 0.0 and keep a term-by-term dict loop's
 insertion order, so results are bit-identical to that loop's.  The action
 merges equal keys by a sort; conjugation pairs each string with its partner.
-Every key sort in the package is ``_lexsort``, a value sort of packed keys.
+Every ``np.lexsort`` order in the package comes from ``_lexsort``'s value sort.
 """
 
 from __future__ import annotations
