@@ -3,12 +3,15 @@
 A term is stored under a canonical key ``(creations, annihilations)`` where
 both index tuples are strictly increasing and the key stands for the operator
 string ``a+_{p1} .. a+_{pn} a_{qn} .. a_{q1}`` (annihilations written in
-descending index order).  Any permutation met while reordering products is
-folded into the coefficient through fermionic parity, so every operator has a
-unique representation.
+descending index order), so every operator has a unique representation.
+``term_product`` multiplies two canonical terms by direct contraction: only
+the left term's annihilations and the right term's creations can contract,
+on equal indices, and each set of contracted indices gives one term, signed
+by the parity of its swaps as counted on bit masks.
 
 Only particle-number conserving terms are representable; everything produced
-by products and commutators of such terms stays in this class.
+by products and commutators of such terms stays in this class.  The tables of
+R-local patterns also multiply keys that do not conserve it.
 
 A FermionOperator holds term-ordered arrays: uint64 creation and annihilation
 masks ``cre``/``ann``, float64 ``coeffs``, plus a ``constant``.  Conjugation,
@@ -99,76 +102,36 @@ def key_events(key: Key) -> tuple[int, ...]:
     return tuple((q << 1) | 1 for q in cre) + tuple(q << 1 for q in reversed(ann))
 
 
-def _sort_parity(seq) -> int:
-    inv = 0
-    n = len(seq)
-    for i in range(n):
-        si = seq[i]
-        for j in range(i + 1, n):
-            if si > seq[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
-@lru_cache(maxsize=1 << 18)
-def _reorder(events: tuple[int, ...]) -> tuple[tuple[Key, int], ...]:
-    """Wick-reorder an event string into canonical terms with integer signs."""
-    for i in range(len(events) - 1):
-        a, b = events[i], events[i + 1]
-        if not a & 1 and b & 1:
-            # a_q a+_p = delta_qp - a+_p a_q
-            acc: dict[Key, int] = {}
-            for key, c in _reorder(events[:i] + (b, a) + events[i + 2 :]):
-                acc[key] = acc.get(key, 0) - c
-            if a >> 1 == b >> 1:
-                for key, c in _reorder(events[:i] + events[i + 2 :]):
-                    acc[key] = acc.get(key, 0) + c
-            return tuple((k, c) for k, c in acc.items() if c)
-    cre = [e >> 1 for e in events if e & 1]
-    ann = [e >> 1 for e in events if not e & 1]
-    if len(set(cre)) != len(cre) or len(set(ann)) != len(ann):
-        return ()
-    # creations sort ascending; annihilations sort to descending written order
-    sign = _sort_parity(cre) * _sort_parity([-q for q in ann])
-    return (((tuple(sorted(cre)), tuple(sorted(ann))), sign),)
-
-
-def _merge(t1, t2):
-    # both ascending; parity of sorting the written concatenation t1 + t2
-    inv = 0
-    for x in t1:
-        for y in t2:
-            if x == y:
-                return None
-            if x > y:
-                inv += 1
-    return tuple(sorted(t1 + t2)), (-1 if inv & 1 else 1)
+def _pairs_above(hi: int, lo: int) -> int:
+    """Number of pairs x in mask ``hi``, y in mask ``lo`` with x > y."""
+    return sum((lo & ((1 << x) - 1)).bit_count() for x in _indices(hi))
 
 
 @lru_cache(maxsize=1 << 17)
 def term_product(key_a: Key, key_b: Key) -> tuple[tuple[Key, int], ...]:
     """Normal-ordered product of two canonical terms (integer coefficients).
 
-    Contractions can only arise between the annihilations of ``key_a`` and the
-    creations of ``key_b``; the outer operators merge by pure permutation.
-    The middle ``a_{ann_a} .. a+_{cre_b} ..`` is normal-ordered by ``_reorder``.
+    Only the annihilations of ``key_a`` and the creations of ``key_b`` can
+    contract, and only on equal indices.  Each set Y of contracted common
+    indices gives one term unless an outer merge repeats an index; the terms
+    come with Y counted in binary, the lowest common index the most
+    significant bit.  The sign is the parity of the swaps: each y in Y passes
+    the ``ann_a`` and ``cre_b`` indices below it, the uncontracted middle
+    ``a_{ann_m} a+_{cre_m}`` takes |ann_m| |cre_m|, and the outer merges sort
+    ``cre_a`` with ``cre_m`` and ``ann_b`` with ``ann_m``.
     """
-    cre_a, ann_a = key_a
-    cre_b, ann_b = key_b
-    out: dict[Key, int] = {}
-    middle = tuple(q << 1 for q in reversed(ann_a)) + tuple((p << 1) | 1 for p in cre_b)
-    for (cre_m, ann_m), c0 in _reorder(middle):
-        mc = _merge(cre_a, cre_m)
-        if mc is None:
+    cre_a, ann_a, cre_b, ann_b = (_mask(t) for t in key_a + key_b)
+    common = _indices(ann_a & cre_b)[::-1]
+    out = []
+    for n in range(1 << len(common)):
+        y = sum(1 << q for k, q in enumerate(common) if n >> k & 1)
+        cre_m, ann_m = cre_b & ~y, ann_a & ~y
+        if cre_a & cre_m or ann_b & ann_m:
             continue
-        # annihilations are written descending, ann_m then ann_b: reversed,
-        # that is ann_b + ann_m ascending
-        ma = _merge(ann_b, ann_m)
-        if ma is None:
-            continue
-        key = (mc[0], ma[0])
-        out[key] = out.get(key, 0) + c0 * mc[1] * ma[1]
-    return tuple((k, c) for k, c in out.items() if c)
+        odd = (_pairs_above(y, ann_a) + _pairs_above(y, cre_b) + ann_m.bit_count() * cre_m.bit_count()
+               + _pairs_above(cre_a, cre_m) + _pairs_above(ann_b, ann_m))
+        out.append(((_indices(cre_a | cre_m), _indices(ann_b | ann_m)), -1 if odd & 1 else 1))
+    return tuple(out)
 
 
 class FermionOperator:
@@ -296,8 +259,8 @@ def _shape(gen: FermionGenerator) -> tuple[tuple[int, ...], dict]:
     """The generator's support R in ascending order, and its shape's table.
 
     Generators whose creations sit at the same positions within R share one
-    table, built for sign +1 on the canonical support 0..|R|-1: the Wick
-    algebra only compares indices, so an order-preserving relabeling maps its
+    table, built for sign +1 on the canonical support 0..|R|-1: the product
+    only compares indices, so an order-preserving relabeling maps its
     outputs one to one and in the same order, and the sign scales [E,A] and
     leaves [[E,A],A].
     """
@@ -328,7 +291,7 @@ def _comm_with_gen(key: Key, cache: dict) -> tuple[tuple[Key, int], ...]:
     tables are built for sign +1 and ``bch_transform`` applies the sign.  A
     maps only between the R-configurations "P occupied" and "Q occupied"; a
     key that neither acts on nor lands in either has key A = A key = 0, and
-    no Wick algebra runs."""
+    no product is formed."""
     cre, ann = _mask(key[0]), _mask(key[1])
     if not any((ann & ~x) == 0 and not cre & x & ~ann or (cre & ~x) == 0 and not ann & x & ~cre
                for x in cache["gmasks"]):
@@ -347,7 +310,7 @@ def _pattern_entry(cre_r: int, ann_r: int, cache: dict):
     commutes with A.
 
     c1 = [E_R,A] and c2 = [[E_R,A],A] list R-local terms as
-    ``(cre_mask, ann_mask, int coeff)``, in the Wick algebra's output order.
+    ``(cre_mask, ann_mask, int coeff)``, in ``term_product``'s output order.
     """
     c1 = _comm_with_gen((_indices(cre_r), _indices(ann_r)), cache)
     if not c1:

@@ -1,8 +1,11 @@
 """Helpers that only the tests use, and the dict loops kept as oracles.
 
 The algebra helpers (Wick normal ordering, products, commutators, sums) build
-operators through their ``.terms`` views.  The oracles are the term-by-term
-dict loops that the array passes of ``qjacobi.fermion``, ``qjacobi.cumulant``,
+operators through their ``.terms`` views, on the generic recursive Wick
+reorder ``_reorder``; its ``term_product`` is the oracle for the direct
+contraction of ``qjacobi.fermion.term_product``, term order included.  The
+oracles are the term-by-term dict loops that the array passes of
+``qjacobi.fermion``, ``qjacobi.cumulant``,
 ``qjacobi.jacobi.truncate`` and ``qjacobi.hamiltonian`` replaced; each returns
 ``(terms, constant)`` with the loop's insertion order, compared key by key
 in order and value by value in IEEE bits (``bits``).  ``dense_matrix`` fills
@@ -33,8 +36,7 @@ import numpy as np
 
 from qjacobi import statevector
 from qjacobi.fcidump import FCIDumpData, _canonical_one, _canonical_two, parse_fcidump
-from qjacobi.fermion import (ZERO_FLOOR, FermionOperator, _reorder, conjugate_key, key_support,
-                             term_product)
+from qjacobi.fermion import ZERO_FLOOR, FermionOperator, Key, conjugate_key, key_support
 from qjacobi.hamiltonian import build_hamiltonian
 from qjacobi.jacobi import RunConfig, run_quantum_jacobi
 from qjacobi.jordan_wigner import _jw_key
@@ -46,6 +48,78 @@ IDENTITY_KEY = ((), ())
 # ---------------------------------------------------------------------------
 # Operator algebra
 # ---------------------------------------------------------------------------
+
+def _sort_parity(seq) -> int:
+    inv = 0
+    n = len(seq)
+    for i in range(n):
+        si = seq[i]
+        for j in range(i + 1, n):
+            if si > seq[j]:
+                inv += 1
+    return -1 if inv & 1 else 1
+
+
+@lru_cache(maxsize=1 << 18)
+def _reorder(events: tuple[int, ...]) -> tuple[tuple[Key, int], ...]:
+    """Wick-reorder an event string into canonical terms with integer signs."""
+    for i in range(len(events) - 1):
+        a, b = events[i], events[i + 1]
+        if not a & 1 and b & 1:
+            # a_q a+_p = delta_qp - a+_p a_q
+            acc: dict[Key, int] = {}
+            for key, c in _reorder(events[:i] + (b, a) + events[i + 2 :]):
+                acc[key] = acc.get(key, 0) - c
+            if a >> 1 == b >> 1:
+                for key, c in _reorder(events[:i] + events[i + 2 :]):
+                    acc[key] = acc.get(key, 0) + c
+            return tuple((k, c) for k, c in acc.items() if c)
+    cre = [e >> 1 for e in events if e & 1]
+    ann = [e >> 1 for e in events if not e & 1]
+    if len(set(cre)) != len(cre) or len(set(ann)) != len(ann):
+        return ()
+    # creations sort ascending; annihilations sort to descending written order
+    sign = _sort_parity(cre) * _sort_parity([-q for q in ann])
+    return (((tuple(sorted(cre)), tuple(sorted(ann))), sign),)
+
+
+def _merge(t1, t2):
+    # both ascending; parity of sorting the written concatenation t1 + t2
+    inv = 0
+    for x in t1:
+        for y in t2:
+            if x == y:
+                return None
+            if x > y:
+                inv += 1
+    return tuple(sorted(t1 + t2)), (-1 if inv & 1 else 1)
+
+
+@lru_cache(maxsize=1 << 17)
+def term_product(key_a: Key, key_b: Key) -> tuple[tuple[Key, int], ...]:
+    """Normal-ordered product of two canonical terms (integer coefficients).
+
+    Contractions can only arise between the annihilations of ``key_a`` and the
+    creations of ``key_b``; the outer operators merge by pure permutation.
+    The middle ``a_{ann_a} .. a+_{cre_b} ..`` is normal-ordered by ``_reorder``.
+    """
+    cre_a, ann_a = key_a
+    cre_b, ann_b = key_b
+    out: dict[Key, int] = {}
+    middle = tuple(q << 1 for q in reversed(ann_a)) + tuple((p << 1) | 1 for p in cre_b)
+    for (cre_m, ann_m), c0 in _reorder(middle):
+        mc = _merge(cre_a, cre_m)
+        if mc is None:
+            continue
+        # annihilations are written descending, ann_m then ann_b: reversed,
+        # that is ann_b + ann_m ascending
+        ma = _merge(ann_b, ann_m)
+        if ma is None:
+            continue
+        key = (mc[0], ma[0])
+        out[key] = out.get(key, 0) + c0 * mc[1] * ma[1]
+    return tuple((k, c) for k, c in out.items() if c)
+
 
 def normal_order(events, coefficient=1.0):
     """Normal order a raw string of (index, is_creation) events, scaled by

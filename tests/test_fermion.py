@@ -10,11 +10,12 @@ from scipy.linalg import expm
 
 from qjacobi import fermion
 from qjacobi.cumulant import cumulant_decompose
-from qjacobi.fermion import (FermionGenerator, FermionOperator, _pattern_table, _reorder,
-                             _shape, _shape_table, bch_transform, conjugate_key, key_events,
-                             key_support, term_product)
+from qjacobi.fermion import (FermionGenerator, FermionOperator, _pattern_table, _shape,
+                             _shape_table, bch_transform, conjugate_key, key_events, key_support,
+                             term_product)
 from qjacobi.jacobi import (RunConfig, classical_residual, generator_from_determinant,
                             run_quantum_jacobi, select_deterministic, truncate)
+import support
 from support import (act_loop, apply_key_to_det, bch_loop, bits, classify_indices, commutator,
                      cumulant_loop, dense_matrix, excitation_rank, generator_operator,
                      is_hermitian_loop, max_rank, multiply, normal_op, plus, scaled,
@@ -135,9 +136,24 @@ class TestProducts:
             ka, kb = random_key(rng, 4), random_key(rng, 4)
             fast = dict(term_product(ka, kb))
             slow = {}
-            for k, c in _reorder(key_events(ka) + key_events(kb)):
+            for k, c in support._reorder(key_events(ka) + key_events(kb)):
                 slow[k] = slow.get(k, 0) + c
             assert fast == {k: c for k, c in slow.items() if c}
+
+    def test_term_product_equals_wick_oracle_in_order(self):
+        # tuples, so keys, integer coefficients and their order all count;
+        # every subset pair on 3 modes covers unequal counts and the empty key
+        subsets = [c for r in range(4) for c in combinations(range(3), r)]
+        keys = [(cre, ann) for cre in subsets for ann in subsets]
+        pairs = [(ka, kb) for ka in keys for kb in keys]
+        rng = random.Random(11)
+
+        def subset():
+            return tuple(sorted(rng.sample(range(8), rng.randint(0, 8))))
+
+        pairs += [((subset(), subset()), (subset(), subset())) for _ in range(3000)]
+        for ka, kb in pairs:
+            assert term_product(ka, kb) == support.term_product(ka, kb), (ka, kb)
 
 
 class TestCommutator:
@@ -410,7 +426,7 @@ class TestCacheState:
         run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=20))
         warm = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
         assert _shape_table.cache_info().currsize
-        for cached in (_shape_table, term_product, _reorder):
+        for cached in (_shape_table, term_product):
             cached.cache_clear()
         cold = run_quantum_jacobi(h4, RunConfig(**cfg, max_cycles=60)).to_jsonl()
         assert cold == warm

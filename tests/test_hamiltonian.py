@@ -69,7 +69,7 @@ def test_commutes_with_number_operator(h4):
 
 def test_spin_exchange_symmetry(h4):
     # global alpha <-> beta exchange leaves every coefficient unchanged
-    from qjacobi.fermion import _sort_parity
+    from support import _sort_parity
 
     h = h4.hamiltonian
     for (cre, ann), coeff in h.terms.items():
