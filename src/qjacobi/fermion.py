@@ -128,8 +128,8 @@ def term_product(key_a: Key, key_b: Key) -> tuple[tuple[Key, int], ...]:
         cre_m, ann_m = cre_b & ~y, ann_a & ~y
         if cre_a & cre_m or ann_b & ann_m:
             continue
-        odd = (_pairs_above(y, ann_a) + _pairs_above(y, cre_b) + ann_m.bit_count() * cre_m.bit_count()
-               + _pairs_above(cre_a, cre_m) + _pairs_above(ann_b, ann_m))
+        odd = (_pairs_above(y, ann_a) + _pairs_above(y, cre_b) + _pairs_above(cre_a, cre_m)
+               + _pairs_above(ann_b, ann_m) + ann_m.bit_count() * cre_m.bit_count())
         out.append(((_indices(cre_a | cre_m), _indices(ann_b | ann_m)), -1 if odd & 1 else 1))
     return tuple(out)
 

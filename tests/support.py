@@ -5,10 +5,10 @@ operators through their ``.terms`` views, on the generic recursive Wick
 reorder ``_reorder``; its ``term_product`` is the oracle for the direct
 contraction of ``qjacobi.fermion.term_product``, term order included.  The
 oracles are the term-by-term dict loops that the array passes of
-``qjacobi.fermion``, ``qjacobi.cumulant``,
-``qjacobi.jacobi.truncate`` and ``qjacobi.hamiltonian`` replaced; each returns
-``(terms, constant)`` with the loop's insertion order, compared key by key
-in order and value by value in IEEE bits (``bits``).  ``dense_matrix`` fills
+``qjacobi.fermion``, ``qjacobi.cumulant``, ``qjacobi.jacobi.truncate`` and
+``qjacobi.hamiltonian`` replaced; each returns ``(terms, constant)`` with the
+loop's insertion order, compared key by key in order and value by value in
+IEEE bits (``bits``).  ``dense_matrix`` fills
 a complex matrix one ``act`` at a time, the oracle for the compiled FCI
 matrix, and ``jw_generator_loop`` keeps the two accumulation loops over E
 and E+ that ``jw_generator``'s one pass replaced.  ``apply_key_to_det`` acts

@@ -378,30 +378,30 @@ class TestLexsort:
                       or isinstance(node, ast.alias) and node.name == "lexsort"]
         assert sites == [("pauli.py", "_lexsort")]
 
-    def test_every_lru_cache_passes_a_bound(self):
-        # no process-global cache grows without bound: every lru_cache is
-        # called with a maxsize that is not None, and functools.cache is unused
-        def name(node):
-            return getattr(node, "id", None) or getattr(node, "attr", None)
 
-        bounded, unbounded = 0, []
-        for path in sorted(Path(pauli.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            calls = [n for n in ast.walk(tree)
-                     if isinstance(n, ast.Call) and name(n.func) == "lru_cache"]
-            for call in calls:
-                size = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
-                if size and not (isinstance(size[0], ast.Constant) and size[0].value is None):
-                    bounded += 1
-                else:
-                    unbounded.append((path.name, call.lineno))
-            funcs = {id(call.func) for call in calls}
-            for node in ast.walk(tree):
-                if (name(node) == "lru_cache" and id(node) not in funcs
-                        or isinstance(node, ast.Attribute) and node.attr == "cache"
-                        and name(node.value) == "functools"):
-                    unbounded.append((path.name, node.lineno))
-                elif isinstance(node, ast.ImportFrom) and node.module == "functools":
-                    unbounded += [(path.name, node.lineno) for a in node.names
-                                  if a.name == "cache"]
-        assert bounded and unbounded == []
+def test_every_lru_cache_passes_a_bound():
+    # no process-global cache grows without bound: every lru_cache is
+    # called with a maxsize that is not None, and functools.cache is unused
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    bounded, unbounded = 0, []
+    for path in sorted(Path(pauli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [n for n in ast.walk(tree)
+                 if isinstance(n, ast.Call) and name(n.func) == "lru_cache"]
+        for call in calls:
+            size = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+            if size and not (isinstance(size[0], ast.Constant) and size[0].value is None):
+                bounded += 1
+            else:
+                unbounded.append((path.name, call.lineno))
+        funcs = {id(call.func) for call in calls}
+        for node in ast.walk(tree):
+            if (name(node) == "lru_cache" and id(node) not in funcs
+                    or isinstance(node, ast.Attribute) and node.attr == "cache"
+                    and name(node.value) == "functools"):
+                unbounded.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [(path.name, node.lineno) for a in node.names if a.name == "cache"]
+    assert bounded and unbounded == []
